@@ -58,7 +58,6 @@ type daemonConfig struct {
 	pool            int
 	drainTimeout    time.Duration
 	journalDir      string        // "" = ephemeral, no crash safety
-	journalSerial   bool          // disable group commit: one fsync per append
 	checkpointEvery int           // controller checkpoint cadence (iterations)
 	maxQueue        int           // admission-queue bound
 	jobTimeout      time.Duration // per-job run deadline (0 = none)
@@ -90,7 +89,6 @@ func main() {
 		pool         = flag.Int("pool", runtime.GOMAXPROCS(0), "max concurrently simulating jobs")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "grace period for running jobs on shutdown")
 		journalDir   = flag.String("journal-dir", "", "directory for the crash-safe job journal (empty = ephemeral)")
-		serialFsync  = flag.Bool("journal-serial-fsync", false, "disable journal group commit so every append pays its own fsync (benchmark baseline)")
 		checkpoint   = flag.Int("checkpoint-every", server.DefaultCheckpointEvery, "controller checkpoint cadence in iterations (0 disables)")
 		maxQueue     = flag.Int("max-queue", 256, "max jobs waiting for a pool slot before submissions are shed with 429")
 		jobTimeout   = flag.Duration("job-timeout", 0, "per-job wall-clock deadline (0 = none)")
@@ -118,7 +116,7 @@ func main() {
 	logger := log.New(os.Stderr, "autopiped: ", log.LstdFlags)
 	cfg := daemonConfig{
 		pool: *pool, drainTimeout: *drainTimeout,
-		journalDir: *journalDir, journalSerial: *serialFsync,
+		journalDir:      *journalDir,
 		checkpointEvery: *checkpoint,
 		maxQueue:        *maxQueue, jobTimeout: *jobTimeout, watchdogQuiet: *quiet,
 		readHeaderTimeout: *headerTO, readTimeout: *readTO, idleTimeout: *idleTO,
@@ -239,7 +237,7 @@ func clampQuiet(d time.Duration) time.Duration {
 // openJournal opens (or creates) the journal directory, refusing an
 // unwritable location with a clear error rather than serving a control
 // plane whose durability silently doesn't work.
-func openJournal(dir string, serialFsync bool) (*journal.Journal, []journal.Record, error) {
+func openJournal(dir string) (*journal.Journal, []journal.Record, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal dir %s is not writable: %w", dir, err)
 	}
@@ -248,7 +246,7 @@ func openJournal(dir string, serialFsync bool) (*journal.Journal, []journal.Reco
 		return nil, nil, fmt.Errorf("journal dir %s is not writable: %w", dir, err)
 	}
 	os.Remove(probe)
-	jl, recs, err := journal.Open(dir, journal.Options{NoGroupCommit: serialFsync})
+	jl, recs, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		return nil, nil, fmt.Errorf("opening journal in %s: %w", dir, err)
 	}
@@ -275,7 +273,7 @@ func run(ctx context.Context, lis net.Listener, cfg daemonConfig, logger *log.Lo
 	}
 	var recs []journal.Record
 	if cfg.journalDir != "" {
-		jl, replayed, err := openJournal(cfg.journalDir, cfg.journalSerial)
+		jl, replayed, err := openJournal(cfg.journalDir)
 		if err != nil {
 			return err
 		}

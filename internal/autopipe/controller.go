@@ -131,7 +131,7 @@ type Stats struct {
 	SwitchSecondsPredicted float64 `json:"switch_seconds_predicted"`
 	SwitchSecondsRealized  float64 `json:"switch_seconds_realized"`
 	// Search telemetry: candidates the predictor actually scored, scores
-	// served by the fingerprint memo cache, cumulative and most-recent
+	// served by the plan-hash memo cache, cumulative and most-recent
 	// per-decision search wall-clock, and the aggregate per-candidate
 	// predictor time (ScoreSeconds/SearchSeconds ≈ parallel speedup).
 	CandidatesScored  int64   `json:"candidates_scored"`
@@ -409,7 +409,7 @@ func (c *Controller) searchScorer(prof *profile.Profile) *scoreSet {
 		key.histGen = c.history.Gen()
 	}
 	if c.search == nil {
-		c.search = newScoreSet(c.ctx, c.predictor, prof, c.cfg.Model.MiniBatch, c.history, c.cfg.Procs, false)
+		c.search = newScoreSet(c.ctx, c.predictor, prof, c.cfg.Model.MiniBatch, c.history, c.cfg.Procs)
 		c.searchKey = key
 		return c.search
 	}

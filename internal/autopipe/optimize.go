@@ -23,11 +23,6 @@ type OptimizeOptions struct {
 	// history-aware predictors (net/hybrid); nil scores the all-zero
 	// window. The search only reads it.
 	History *meta.History
-	// NoBatch disables batched candidate scoring, forcing one
-	// PredictSpeed call per candidate even when the predictor offers
-	// meta.BatchPredictor. Scores — and therefore the chosen plan — are
-	// bit-identical either way; this exists for testing and ablation.
-	NoBatch bool
 }
 
 // OptimizePlan hill-climbs from an initial plan through the two-worker
@@ -44,7 +39,7 @@ type OptimizeOptions struct {
 // alternate) and scored through a scoreSet — batched when the predictor
 // supports it, otherwise fanned across opts.Procs goroutines, with a
 // plan-hash memo cache either way. The chosen plan is bit-identical at
-// every procs setting and with batching on or off. The returned plan is
+// every procs setting and whether or not the predictor batches. The returned plan is
 // always an independent heap copy; on cancellation it is the best plan
 // found so far, together with the context's error.
 func OptimizePlan(ctx context.Context, prof *profile.Profile, plan partition.Plan,
@@ -60,7 +55,7 @@ func OptimizePlan(ctx context.Context, prof *profile.Profile, plan partition.Pla
 	sc := optScratchPool.Get().(*optimizeScratch)
 	defer sc.put()
 	ss := &sc.ss
-	ss.reset(ctx, pred, prof, miniBatch, opts.History, opts.Procs, opts.NoBatch)
+	ss.reset(ctx, pred, prof, miniBatch, opts.History, opts.Procs)
 	defer func() {
 		if opts.Stats != nil {
 			opts.Stats.add(ss.stats)

@@ -33,10 +33,17 @@ func optimizeFixture(tb testing.TB) (*profile.Profile, partition.Plan, *model.Mo
 	return prof, partition.EvenSplit(m.NumLayers(), workers), m
 }
 
+// unbatched hides its predictor's PredictSpeedBatch so the search scores
+// one PredictSpeed call per candidate, while still forwarding
+// ConcurrentSafe so that path keeps fanning out across procs.
+type unbatched struct{ meta.Predictor }
+
+func (u unbatched) ConcurrentSafe() bool { return meta.ParallelSafe(u.Predictor) }
+
 // TestOptimizePlanBatchAndProcsParity is the batched-search equivalence
-// contract of the ISSUE: the chosen plan is bit-identical across every
-// procs setting, with batched scoring on and off, for both the analytic
-// and the hybrid (meta-network) predictor.
+// contract: the chosen plan is bit-identical across every procs setting,
+// with batched and per-candidate scoring, for both the analytic and the
+// hybrid (meta-network) predictor.
 func TestOptimizePlanBatchAndProcsParity(t *testing.T) {
 	prof, start, m := optimizeFixture(t)
 	net := meta.NewNetwork(rand.New(rand.NewSource(21)))
@@ -53,12 +60,18 @@ func TestOptimizePlanBatchAndProcsParity(t *testing.T) {
 		{"hybrid", &meta.HybridPredictor{Net: net, NetWeight: 0.5, Scheme: netsim.RingAllReduce}, h},
 	}
 	for _, pc := range preds {
+		if _, ok := meta.BatchCapable(unbatched{pc.pred}); ok || !meta.ParallelSafe(unbatched{pc.pred}) {
+			t.Fatalf("%s: unbatched wrapper must hide batching and keep parallel scoring", pc.name)
+		}
 		var want partition.Plan
 		for _, procs := range []int{1, 4, 8} {
-			for _, noBatch := range []bool{false, true} {
-				got, err := OptimizePlan(context.Background(), prof, start, m.MiniBatch, pc.pred,
-					OptimizeOptions{MaxRounds: 6, UseMerge: true, Procs: procs,
-						History: pc.h, NoBatch: noBatch})
+			for _, perCandidate := range []bool{false, true} {
+				pred := pc.pred
+				if perCandidate {
+					pred = unbatched{pred}
+				}
+				got, err := OptimizePlan(context.Background(), prof, start, m.MiniBatch, pred,
+					OptimizeOptions{MaxRounds: 6, UseMerge: true, Procs: procs, History: pc.h})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -67,8 +80,8 @@ func TestOptimizePlanBatchAndProcsParity(t *testing.T) {
 					continue
 				}
 				if !got.Equal(want) {
-					t.Fatalf("%s procs=%d noBatch=%v chose %s, want %s",
-						pc.name, procs, noBatch, got, want)
+					t.Fatalf("%s procs=%d perCandidate=%v chose %s, want %s",
+						pc.name, procs, perCandidate, got, want)
 				}
 			}
 		}

@@ -64,13 +64,12 @@ func (s SearchStats) HitRate() float64 {
 // value.
 //
 // The memo cache key is partition.Plan.Hash64 (64-bit FNV-1a over the
-// canonical plan encoding) instead of the allocating Fingerprint string;
-// with the ≤10⁴ live entries of a search the collision probability is
-// ~1e-12 per search.
+// canonical plan encoding); with the ≤10⁴ live entries of a search the
+// collision probability is ~1e-12 per search.
 type scoreSet struct {
 	ctx  context.Context
 	pred meta.Predictor
-	// batch is pred's batched scoring path, nil when absent or disabled;
+	// batch is pred's batched scoring path, nil when absent;
 	// when set, each round's cache-miss set is scored in procs contiguous
 	// chunks of one PredictSpeedBatch call each, amortising the
 	// candidate-independent work (LSTM history pass, analytic base-plan
@@ -103,11 +102,11 @@ type scoreSet struct {
 // procs; results are identical either way, only the wall clock differs.
 // All built-in predictors — analytic, net and hybrid — are safe and
 // additionally advertise meta.BatchPredictor, so scoring dispatches to
-// the batched path unless noBatch disables it (testing/ablation).
+// the batched path; other predictors fan out across procs goroutines.
 func newScoreSet(ctx context.Context, pred meta.Predictor, prof *profile.Profile,
-	miniBatch int, h *meta.History, procs int, noBatch bool) *scoreSet {
+	miniBatch int, h *meta.History, procs int) *scoreSet {
 	s := &scoreSet{}
-	s.reset(ctx, pred, prof, miniBatch, h, procs, noBatch)
+	s.reset(ctx, pred, prof, miniBatch, h, procs)
 	return s
 }
 
@@ -115,7 +114,7 @@ func newScoreSet(ctx context.Context, pred meta.Predictor, prof *profile.Profile
 // memo cache is emptied and the stats zeroed, while the cache map and
 // scoring buffers keep their capacity for reuse.
 func (s *scoreSet) reset(ctx context.Context, pred meta.Predictor, prof *profile.Profile,
-	miniBatch int, h *meta.History, procs int, noBatch bool) {
+	miniBatch int, h *meta.History, procs int) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -134,12 +133,7 @@ func (s *scoreSet) reset(ctx context.Context, pred meta.Predictor, prof *profile
 	} else {
 		clear(s.cache)
 	}
-	s.batch = nil
-	if !noBatch {
-		if bp, ok := meta.BatchCapable(pred); ok {
-			s.batch = bp
-		}
-	}
+	s.batch, _ = meta.BatchCapable(pred)
 }
 
 // release drops every reference a recycled scoreSet would otherwise pin

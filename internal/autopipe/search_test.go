@@ -64,13 +64,13 @@ func TestOptimizePlanCancelReturnsPromptly(t *testing.T) {
 }
 
 // TestScoreSetCacheServesRepeats: scoring the same plans twice hits the
-// fingerprint cache the second time and returns identical values.
+// plan-hash cache the second time and returns identical values.
 func TestScoreSetCacheServesRepeats(t *testing.T) {
 	cl := cluster.Testbed(cluster.Gbps(25))
 	m := model.AlexNet()
 	prof := profile.NewProfiler(m, cl).Observe()
 	plans := partition.NeighborsWithMerge(partition.EvenSplit(m.NumLayers(), []int{0, 1, 2, 3}))
-	ss := newScoreSet(context.Background(), meta.AnalyticPredictor{}, prof, m.MiniBatch, nil, 4, false)
+	ss := newScoreSet(context.Background(), meta.AnalyticPredictor{}, prof, m.MiniBatch, nil, 4)
 	res, err := ss.scores(plans)
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,8 +36,6 @@ const (
 	// locally — a placement disagreement must degrade to 404, never to
 	// a forwarding loop.
 	forwardedHeader = "X-Autopipe-Forwarded"
-	// maxSpecBytes mirrors the single-node API's submit size bound.
-	maxSpecBytes = 1 << 20
 )
 
 // Config parametrises one fleet node.
@@ -417,15 +414,12 @@ func (n *Node) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		// A minority node must not act as a gateway either: even if the
 		// ring owner happens to be reachable (asymmetric partition), an
 		// acknowledgement from this side of the split is not trustworthy.
-		w.Header().Set("Retry-After", strconv.Itoa(n.reg.RetryAfterSeconds()))
-		writeError(w, http.StatusServiceUnavailable, server.ErrMinority)
+		server.WriteSubmitError(w, n.reg, server.ErrMinority)
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
 	var spec server.JobSpec
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err))
+	if err := server.DecodeSubmit(w, req, &spec); err != nil {
+		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err))
 		return
 	}
 	n.mu.Lock()
@@ -439,7 +433,7 @@ func (n *Node) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	}
 	addr := n.members.addr(owner)
 	if addr == "" {
-		writeError(w, http.StatusBadGateway, fmt.Errorf("fleet: owner %s for %s has no address", owner, id))
+		server.WriteError(w, http.StatusBadGateway, fmt.Errorf("fleet: owner %s for %s has no address", owner, id))
 		return
 	}
 	n.forwarded.Add(1)
@@ -449,14 +443,13 @@ func (n *Node) handleSubmit(w http.ResponseWriter, req *http.Request) {
 // handleFleetSubmit hosts a job forwarded by a gateway peer (or handed
 // off by a draining one).
 func (n *Node) handleFleetSubmit(w http.ResponseWriter, req *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxSpecBytes))
 	var fr fleetSubmitRequest
-	if err := dec.Decode(&fr); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad forwarded submit: %w", err))
+	if err := server.DecodeSubmit(w, req, &fr); err != nil {
+		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad forwarded submit: %w", err))
 		return
 	}
 	if fr.ID == "" {
-		writeError(w, http.StatusBadRequest, errors.New("forwarded submit needs an id"))
+		server.WriteError(w, http.StatusBadRequest, errors.New("forwarded submit needs an id"))
 		return
 	}
 	n.handoffRecv.Add(1)
@@ -469,23 +462,12 @@ func (n *Node) handleFleetSubmit(w http.ResponseWriter, req *http.Request) {
 // lives — the fleet keeps one replica, not a quorum).
 func (n *Node) submitLocal(w http.ResponseWriter, id string, spec server.JobSpec) {
 	info, err := n.reg.SubmitWithID(id, spec)
-	switch {
-	case errors.Is(err, server.ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, server.ErrMinority):
-		w.Header().Set("Retry-After", strconv.Itoa(n.reg.RetryAfterSeconds()))
-		writeError(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, server.ErrQueueFull):
-		w.Header().Set("Retry-After", strconv.Itoa(n.reg.RetryAfterSeconds()))
-		writeError(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, server.ErrDuplicateID):
-		writeError(w, http.StatusConflict, err)
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
-	default:
-		n.syncJob(id)
-		writeJSON(w, http.StatusCreated, info)
+	if err != nil {
+		server.WriteSubmitError(w, n.reg, err)
+		return
 	}
+	n.syncJob(id)
+	server.WriteJSON(w, http.StatusCreated, info)
 }
 
 // handleList aggregates the cluster-wide job table; a forwarded request
@@ -508,11 +490,11 @@ func (n *Node) handleList(w http.ResponseWriter, req *http.Request) {
 			return jobs[i].ID < jobs[j].ID
 		})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": jobs})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"jobs": jobs})
 }
 
 func (n *Node) handleLocalJobs(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, localJobsResponse{Node: n.cfg.ID, Jobs: n.reg.List()})
+	server.WriteJSON(w, http.StatusOK, localJobsResponse{Node: n.cfg.ID, Jobs: n.reg.List()})
 }
 
 func (n *Node) handleGet(w http.ResponseWriter, req *http.Request) {
@@ -531,7 +513,7 @@ func (n *Node) proxyJob(w http.ResponseWriter, req *http.Request, local func(str
 	id := req.PathValue("id")
 	info, err := local(id)
 	if err == nil {
-		writeJSON(w, http.StatusOK, info)
+		server.WriteJSON(w, http.StatusOK, info)
 		return
 	}
 	// If fencing moved the job to another node while this one was
@@ -549,12 +531,12 @@ func (n *Node) proxyJob(w http.ResponseWriter, req *http.Request, local func(str
 	}
 	owner := n.ring.Owner(id)
 	if req.Header.Get(forwardedHeader) != "" || owner == n.cfg.ID || owner == "" {
-		writeError(w, http.StatusNotFound, err)
+		server.WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	addr := n.members.addr(owner)
 	if addr == "" {
-		writeError(w, http.StatusNotFound, err)
+		server.WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	n.forwarded.Add(1)
@@ -564,7 +546,7 @@ func (n *Node) proxyJob(w http.ResponseWriter, req *http.Request, local func(str
 func (n *Node) handleCluster(w http.ResponseWriter, req *http.Request) {
 	peers := n.members.snapshot()
 	sort.Slice(peers, func(i, j int) bool { return peers[i].ID < peers[j].ID })
-	writeJSON(w, http.StatusOK, ClusterView{
+	server.WriteJSON(w, http.StatusOK, ClusterView{
 		Self:            n.self(),
 		Ring:            n.ring.Nodes(),
 		Peers:           peers,
@@ -587,20 +569,20 @@ func (n *Node) handleMetrics(w http.ResponseWriter, req *http.Request) {
 func (n *Node) handleJoin(w http.ResponseWriter, req *http.Request) {
 	var jr joinRequest
 	if err := json.NewDecoder(req.Body).Decode(&jr); err != nil || jr.ID == "" {
-		writeError(w, http.StatusBadRequest, errors.New("bad join request"))
+		server.WriteError(w, http.StatusBadRequest, errors.New("bad join request"))
 		return
 	}
 	if n.members.observe(jr.ID, jr.Addr, 0) {
 		n.ring.Add(jr.ID)
 		n.cfg.Logf("fleet %s: %s joined (%s)", n.cfg.ID, jr.ID, jr.Addr)
 	}
-	writeJSON(w, http.StatusOK, joinResponse{ID: n.cfg.ID, Members: n.members.live(n.self())})
+	server.WriteJSON(w, http.StatusOK, joinResponse{ID: n.cfg.ID, Members: n.members.live(n.self())})
 }
 
 func (n *Node) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
 	var hb heartbeatRequest
 	if err := json.NewDecoder(req.Body).Decode(&hb); err != nil || hb.ID == "" {
-		writeError(w, http.StatusBadRequest, errors.New("bad heartbeat"))
+		server.WriteError(w, http.StatusBadRequest, errors.New("bad heartbeat"))
 		return
 	}
 	if n.members.observe(hb.ID, hb.Addr, 0) {
@@ -609,13 +591,13 @@ func (n *Node) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
 	for _, id := range n.members.merge(n.cfg.ID, hb.Members) {
 		n.ring.Add(id)
 	}
-	writeJSON(w, http.StatusOK, heartbeatResponse{ID: n.cfg.ID, Members: n.members.live(n.self())})
+	server.WriteJSON(w, http.StatusOK, heartbeatResponse{ID: n.cfg.ID, Members: n.members.live(n.self())})
 }
 
 func (n *Node) handleReplicate(w http.ResponseWriter, req *http.Request) {
 	var rr replicateRequest
 	if err := json.NewDecoder(req.Body).Decode(&rr); err != nil || rr.From == "" {
-		writeError(w, http.StatusBadRequest, errors.New("bad replicate request"))
+		server.WriteError(w, http.StatusBadRequest, errors.New("bad replicate request"))
 		return
 	}
 	rejected := n.store.apply(rr.From, rr.Full, rr.Records)
@@ -623,7 +605,7 @@ func (n *Node) handleReplicate(w http.ResponseWriter, req *http.Request) {
 		n.fenceRejections.Add(int64(rejected))
 		n.cfg.Logf("fleet %s: rejected %d stale-fence records from %s", n.cfg.ID, rejected, rr.From)
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"accepted": len(rr.Records) - rejected, "fence_rejected": rejected})
+	server.WriteJSON(w, http.StatusOK, map[string]int{"accepted": len(rr.Records) - rejected, "fence_rejected": rejected})
 }
 
 // handleDigest is the receiving half of heal-time anti-entropy: fold in
@@ -632,11 +614,11 @@ func (n *Node) handleReplicate(w http.ResponseWriter, req *http.Request) {
 func (n *Node) handleDigest(w http.ResponseWriter, req *http.Request) {
 	var dr digestRequest
 	if err := json.NewDecoder(req.Body).Decode(&dr); err != nil || dr.From == "" {
-		writeError(w, http.StatusBadRequest, errors.New("bad digest request"))
+		server.WriteError(w, http.StatusBadRequest, errors.New("bad digest request"))
 		return
 	}
 	n.processDigest(dr.From, dr.Jobs)
-	writeJSON(w, http.StatusOK, digestResponse{ID: n.cfg.ID, Jobs: n.reg.HostedFences()})
+	server.WriteJSON(w, http.StatusOK, digestResponse{ID: n.cfg.ID, Jobs: n.reg.HostedFences()})
 }
 
 // processDigest reconciles a peer's per-job fence digest against the
@@ -672,7 +654,7 @@ func (n *Node) processDigest(from string, jobs []server.JobFence) {
 func (n *Node) handleNetfault(w http.ResponseWriter, req *http.Request) {
 	var nr netfaultRequest
 	if err := json.NewDecoder(req.Body).Decode(&nr); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad netfault request: %w", err))
+		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad netfault request: %w", err))
 		return
 	}
 	if nr.Clear {
@@ -692,7 +674,7 @@ func (n *Node) handleNetfaultGet(w http.ResponseWriter, req *http.Request) {
 }
 
 func (n *Node) writeNetfaultState(w http.ResponseWriter) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"rules": n.cfg.Fault.Rules(),
 		"stats": n.cfg.Fault.Stats(),
 	})
@@ -701,7 +683,7 @@ func (n *Node) writeNetfaultState(w http.ResponseWriter) {
 func (n *Node) handleLeave(w http.ResponseWriter, req *http.Request) {
 	var lr leaveRequest
 	if err := json.NewDecoder(req.Body).Decode(&lr); err != nil || lr.ID == "" {
-		writeError(w, http.StatusBadRequest, errors.New("bad leave request"))
+		server.WriteError(w, http.StatusBadRequest, errors.New("bad leave request"))
 		return
 	}
 	if n.members.markLeft(lr.ID) {
@@ -710,7 +692,7 @@ func (n *Node) handleLeave(w http.ResponseWriter, req *http.Request) {
 		// completed results; adopt them to keep them queryable.
 		n.adoptFrom(lr.ID)
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // --- failure detection and adoption ---
@@ -1050,14 +1032,14 @@ func (n *Node) relay(w http.ResponseWriter, method, rawURL string, body any) {
 	if body != nil {
 		b, err := json.Marshal(body)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+			server.WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 		rd = bytes.NewReader(b)
 	}
 	req, err := http.NewRequest(method, rawURL, rd)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		server.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	req.Header.Set(forwardedHeader, "1")
@@ -1066,7 +1048,7 @@ func (n *Node) relay(w http.ResponseWriter, method, rawURL string, body any) {
 	}
 	resp, err := n.client.Do(req)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Errorf("fleet: forward to %s: %w", rawURL, err))
+		server.WriteError(w, http.StatusBadGateway, fmt.Errorf("fleet: forward to %s: %w", rawURL, err))
 		return
 	}
 	defer resp.Body.Close()
@@ -1080,16 +1062,4 @@ func (n *Node) relay(w http.ResponseWriter, method, rawURL string, body any) {
 	}
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
 }

@@ -141,18 +141,6 @@ func TestGroupCommitReplayByteIdentical(t *testing.T) {
 	}
 }
 
-// TestNoGroupCommitSerialFsyncs pins the baseline the load harness
-// measures against: with group commit disabled every append pays its
-// own sync barrier.
-func TestNoGroupCommitSerialFsyncs(t *testing.T) {
-	j, _ := mustOpen(t, t.TempDir(), Options{NoGroupCommit: true})
-	defer j.Close()
-	appendN(t, j, 16)
-	if st := j.Stats(); st.Appends != 16 || st.Syncs != 16 {
-		t.Fatalf("Appends/Syncs = %d/%d, want 16/16 with NoGroupCommit", st.Appends, st.Syncs)
-	}
-}
-
 // TestConcurrentAppendAndCompact: the journal itself must stay safe
 // when appends overlap compaction (the registry now allows concurrent
 // appenders and only excludes compaction at its own layer).

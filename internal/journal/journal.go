@@ -73,12 +73,6 @@ type Options struct {
 	// NoSync skips fsync — test-only; a crash may lose acknowledged
 	// records.
 	NoSync bool
-	// NoGroupCommit makes every Append pay its own write+fsync instead
-	// of coalescing concurrent callers into one commit — the
-	// pre-batching behaviour, kept so the load harness can measure the
-	// group-commit win (BENCH_daemon.json) and tests can pin the serial
-	// path.
-	NoGroupCommit bool
 }
 
 // DefaultSegmentBytes is the rotation threshold when unset.
@@ -258,20 +252,13 @@ func (j *Journal) Append(rec Record) error {
 		j.mu.Unlock()
 		return errClosed
 	}
-	var b *appendBatch
-	if j.opts.NoGroupCommit {
-		// Serial baseline: a private single-record batch per caller —
-		// one fsync per record.
-		b = &appendBatch{buf: frame, count: 1}
-	} else {
-		b = j.cur
-		if b == nil {
-			b = &appendBatch{}
-			j.cur = b
-		}
-		b.buf = append(b.buf, frame...)
-		b.count++
+	b := j.cur
+	if b == nil {
+		b = &appendBatch{}
+		j.cur = b
 	}
+	b.buf = append(b.buf, frame...)
+	b.count++
 	j.mu.Unlock()
 
 	j.writeMu.Lock()
@@ -286,10 +273,8 @@ func (j *Journal) Append(rec Record) error {
 	// We are the leader. An unclaimed batch is necessarily still j.cur
 	// (batches are only replaced at claim time, under writeMu), so
 	// claiming it picks up every frame that accumulated behind ours.
-	if !j.opts.NoGroupCommit {
-		b = j.cur
-		j.cur = nil
-	}
+	b = j.cur
+	j.cur = nil
 	closed := j.closed
 	j.mu.Unlock()
 	if j.commitHook != nil {

@@ -9,7 +9,6 @@ package partition
 import (
 	"fmt"
 	"sort"
-	"strconv"
 )
 
 // Stage is a contiguous layer range replicated over a worker set. With
@@ -150,30 +149,10 @@ func (p Plan) Equal(q Plan) bool {
 	return true
 }
 
-// Fingerprint returns a compact canonical encoding of the plan, cheap
-// to compute and suitable as a memoisation key: two plans have the same
-// fingerprint exactly when Equal reports true.
-func (p Plan) Fingerprint() string {
-	b := make([]byte, 0, 8+12*len(p.Stages))
-	b = strconv.AppendInt(b, int64(p.InFlight), 10)
-	for _, s := range p.Stages {
-		b = append(b, '|')
-		b = strconv.AppendInt(b, int64(s.Start), 10)
-		b = append(b, ':')
-		b = strconv.AppendInt(b, int64(s.End), 10)
-		for _, w := range s.Workers {
-			b = append(b, '@')
-			b = strconv.AppendInt(b, int64(w), 10)
-		}
-	}
-	return string(b)
-}
-
 // Hash64 returns a 64-bit FNV-1a hash of the plan's canonical encoding
 // (InFlight, then each stage's bounds and worker list, with per-field
 // separators so adjacent fields cannot alias). Two Equal plans always
-// hash identically; the search layers use it as the memo-cache key in
-// place of the allocating Fingerprint string.
+// hash identically; the search layers use it as the memo-cache key.
 func (p Plan) Hash64() uint64 {
 	const (
 		offset64 = 14695981039346656037

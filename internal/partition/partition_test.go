@@ -404,32 +404,3 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round trip changed plan: %s vs %s", p, back)
 	}
 }
-
-func TestFingerprintMatchesEqual(t *testing.T) {
-	base := Plan{InFlight: 3, Stages: []Stage{
-		{Start: 0, End: 4, Workers: []int{0, 1}},
-		{Start: 4, End: 8, Workers: []int{2}},
-	}}
-	if got := base.Fingerprint(); got != base.Clone().Fingerprint() {
-		t.Fatalf("clone fingerprint differs: %q", got)
-	}
-	// Every neighbour (a structurally different plan) must fingerprint
-	// differently from the incumbent and from each other.
-	seen := map[string]Plan{base.Fingerprint(): base}
-	for _, q := range append(NeighborsWithMerge(base), InFlightVariants(base, 0)...) {
-		fp := q.Fingerprint()
-		if prev, dup := seen[fp]; dup && !prev.Equal(q) {
-			t.Fatalf("collision: %s and %s both fingerprint %q", prev, q, fp)
-		}
-		seen[fp] = q
-	}
-	if len(seen) < 3 {
-		t.Fatalf("expected several distinct fingerprints, got %d", len(seen))
-	}
-	// Worker identity matters even with identical boundaries.
-	swapped := base.Clone()
-	swapped.Stages[0].Workers = []int{1, 0}
-	if swapped.Fingerprint() == base.Fingerprint() {
-		t.Fatal("worker order must be part of the fingerprint")
-	}
-}

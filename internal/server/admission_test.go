@@ -78,53 +78,66 @@ func TestRetryAfterDerivation(t *testing.T) {
 	}
 }
 
-// TestAdmissionAccountingUnderBursts hammers Submit/Cancel from many
-// goroutines (run under -race in CI) and asserts the registry's
-// conservation laws: every submission is either admitted or shed, no
-// submission is shed while the queue reports spare capacity, and at the
-// end every admitted job is accounted for in exactly one lifecycle
-// state.
+// TestAdmissionAccountingUnderBursts fires one burst of concurrent
+// submissions, with concurrent Cancel churn (run under -race in CI), at
+// a registry whose only pool slot is held by a parked job, so nothing
+// leaves the queue during the burst. The registry's conservation laws
+// then pin exact counts: exactly maxQueue submissions are admitted and
+// the rest shed, and at the end every admitted job is accounted for in
+// exactly one lifecycle state.
 func TestAdmissionAccountingUnderBursts(t *testing.T) {
 	const (
-		submitters    = 16
-		perSubmitter  = 25
 		maxQueue      = 64
+		overflow      = 32
 		cancelWorkers = 4
 	)
-	r := NewRegistryWithOptions(Options{PoolSize: 2, MaxQueue: maxQueue})
+	parked, unpark := make(chan struct{}), make(chan struct{})
+	var first, park sync.Once
+	r := NewRegistryWithOptions(Options{
+		PoolSize: 1, MaxQueue: maxQueue,
+		ConfigureJob: func(cfg *autopipe.JobConfig) {
+			first.Do(func() {
+				cfg.CheckpointEvery = 1
+				cfg.OnCheckpoint = func(autopipe.Checkpoint) {
+					park.Do(func() {
+						close(parked)
+						<-unpark
+					})
+				}
+			})
+		},
+	})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 		defer cancel()
 		r.Shutdown(ctx) // cancels whatever is still alive
 	}()
+	release := sync.OnceFunc(func() { close(unpark) })
+	defer release()
+	blocker, err := r.Submit(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-parked
 
-	var admitted, shed, badShed atomic.Int64
-	ids := make(chan string, submitters*perSubmitter)
+	var admitted, shed atomic.Int64
+	ids := make(chan string, maxQueue+overflow)
+	start := make(chan struct{})
 	var wg sync.WaitGroup
-	for g := 0; g < submitters; g++ {
+	for g := 0; g < maxQueue+overflow; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < perSubmitter; i++ {
-				depthBefore := r.Depth()
-				info, err := r.Submit(smallSpec())
-				switch {
-				case err == nil:
-					admitted.Add(1)
-					ids <- info.ID
-				case errors.Is(err, ErrQueueFull):
-					shed.Add(1)
-					// Shedding with the queue observed well below
-					// capacity just before the attempt would mean the
-					// accounting leaks queue slots. The margin absorbs
-					// legitimate concurrent fill (submitters-1 rivals
-					// can land between our Depth() and Submit()).
-					if depthBefore < maxQueue-submitters {
-						badShed.Add(1)
-					}
-				default:
-					t.Errorf("Submit: %v", err)
-				}
+			<-start
+			info, err := r.Submit(smallSpec())
+			switch {
+			case err == nil:
+				admitted.Add(1)
+				ids <- info.ID
+			case errors.Is(err, ErrQueueFull):
+				shed.Add(1)
+			default:
+				t.Errorf("Submit: %v", err)
 			}
 		}()
 	}
@@ -144,23 +157,30 @@ func TestAdmissionAccountingUnderBursts(t *testing.T) {
 			}
 		}()
 	}
+	close(start)
 	wg.Wait()
 	close(cancelDone)
 
+	// A cancelled job keeps its queue slot until it reaches the blocked
+	// pool, so cancels cannot open room mid-burst and the split is exact.
+	if admitted.Load() != maxQueue || shed.Load() != overflow {
+		t.Fatalf("admitted/shed = %d/%d, want %d/%d", admitted.Load(), shed.Load(), maxQueue, overflow)
+	}
+	if d := r.Depth(); d != maxQueue {
+		t.Fatalf("Depth() = %d after the burst, want %d", d, maxQueue)
+	}
 	c := r.Counters()
-	if c.Admitted != admitted.Load() || c.Shed != shed.Load() {
-		t.Fatalf("counters admitted/shed = %d/%d, callers saw %d/%d",
+	if c.Admitted != admitted.Load()+1 || c.Shed != shed.Load() {
+		t.Fatalf("counters admitted/shed = %d/%d, callers saw %d/%d plus the blocker",
 			c.Admitted, c.Shed, admitted.Load(), shed.Load())
-	}
-	if got, want := admitted.Load()+shed.Load(), int64(submitters*perSubmitter); got != want {
-		t.Fatalf("admitted+shed = %d, want %d", got, want)
-	}
-	if n := badShed.Load(); n > 0 {
-		t.Fatalf("%d submissions shed while the queue had spare capacity", n)
 	}
 
 	// Every admitted job must end in exactly one state, and the queue
-	// must fully drain.
+	// must fully drain once the blocker moves on.
+	if _, err := r.Cancel(blocker.ID); err != nil {
+		t.Fatal(err)
+	}
+	release()
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		counts := r.StateCounts()
@@ -168,8 +188,8 @@ func TestAdmissionAccountingUnderBursts(t *testing.T) {
 		for _, n := range counts {
 			total += n
 		}
-		if total != int(admitted.Load()) {
-			t.Fatalf("state counts sum to %d, want %d admitted (%v)", total, admitted.Load(), counts)
+		if total != maxQueue+1 {
+			t.Fatalf("state counts sum to %d, want %d admitted plus the blocker (%v)", total, maxQueue, counts)
 		}
 		if counts[autopipe.JobQueued] == 0 && counts[autopipe.JobRunning] == 0 {
 			if r.Depth() != 0 {

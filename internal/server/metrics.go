@@ -69,7 +69,7 @@ func WriteMetrics(w io.Writer, r *Registry) {
 	candidates := &family{name: "autopiped_job_search_candidates_total", typ: "counter",
 		help: "Candidate partitions scored by the predictor per job."}
 	cacheHits := &family{name: "autopiped_job_search_cache_hits_total", typ: "counter",
-		help: "Candidate scores served by the fingerprint memo cache per job."}
+		help: "Candidate scores served by the plan-hash memo cache per job."}
 	cacheHitRate := &family{name: "autopiped_job_search_cache_hit_rate", typ: "gauge",
 		help: "Fraction of candidate score lookups served by the memo cache per job."}
 	searchSecs := &family{name: "autopiped_job_search_seconds_total", typ: "counter",

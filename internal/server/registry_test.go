@@ -83,6 +83,36 @@ func TestRegistryRunsJobToCompletion(t *testing.T) {
 	}
 }
 
+// TestDoneViewCarriesResult polls Get in a tight loop while jobs finish:
+// the terminal state and the result are published together, so no view
+// may show a done job without its result.
+func TestDoneViewCarriesResult(t *testing.T) {
+	r := NewRegistry(1)
+	defer drain(t, r)
+	spec := JobSpec{Model: "uniform", Uniform: &UniformSpec{Layers: 2}, Batches: 1}
+	deadline := time.Now().Add(30 * time.Second)
+	for n := 0; n < 200; n++ {
+		info, err := r.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for info.Status.State != autopipe.JobDone {
+			if info.Status.State != autopipe.JobQueued && info.Status.State != autopipe.JobRunning {
+				t.Fatalf("job %s ended in %s", info.ID, info.Status.State)
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s stuck in %s", info.ID, info.Status.State)
+			}
+			if info, err = r.Get(info.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if info.Result == nil {
+			t.Fatalf("job %s (#%d) reported done without a result", info.ID, n)
+		}
+	}
+}
+
 func TestRegistryConcurrentSubmitStatusCancel(t *testing.T) {
 	r := NewRegistry(4)
 	const goroutines = 8

@@ -45,57 +45,72 @@ func (s *Server) Handler() http.Handler { return s.mux }
 const maxSpecBytes = 1 << 20
 
 func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
 	var spec JobSpec
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err))
+	if err := DecodeSubmit(w, req, &spec); err != nil {
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err))
 		return
 	}
 	info, err := s.reg.Submit(spec)
+	if err != nil {
+		WriteSubmitError(w, s.reg, err)
+		return
+	}
+	WriteJSON(w, http.StatusCreated, info)
+}
+
+// DecodeSubmit decodes a submission body into v: at most maxSpecBytes,
+// with unknown fields rejected.
+func DecodeSubmit(w http.ResponseWriter, req *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxSpecBytes))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
+// WriteSubmitError answers a submission reg refused with err.
+func WriteSubmitError(w http.ResponseWriter, reg *Registry, err error) {
 	switch {
 	case errors.Is(err, ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, err)
+		WriteError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, ErrMinority):
 		// Minority partition: this node cannot safely accept work until
 		// it rejoins the majority. The Retry-After hint reuses the
 		// queue-drain derivation — clients back off the same way they do
 		// for overload.
-		w.Header().Set("Retry-After", strconv.Itoa(s.reg.RetryAfterSeconds()))
-		writeError(w, http.StatusServiceUnavailable, err)
+		w.Header().Set("Retry-After", strconv.Itoa(reg.RetryAfterSeconds()))
+		WriteError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, ErrQueueFull):
 		// Load shedding: tell well-behaved clients when to come back,
 		// derived from how deep the queue is and how fast it has been
 		// draining rather than a fixed guess.
-		w.Header().Set("Retry-After", strconv.Itoa(s.reg.RetryAfterSeconds()))
-		writeError(w, http.StatusTooManyRequests, err)
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
+		w.Header().Set("Retry-After", strconv.Itoa(reg.RetryAfterSeconds()))
+		WriteError(w, http.StatusTooManyRequests, err)
+	case errors.Is(err, ErrDuplicateID):
+		WriteError(w, http.StatusConflict, err)
 	default:
-		writeJSON(w, http.StatusCreated, info)
+		WriteError(w, http.StatusBadRequest, err)
 	}
 }
 
 func (s *Server) handleList(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.reg.List()})
+	WriteJSON(w, http.StatusOK, map[string]any{"jobs": s.reg.List()})
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, req *http.Request) {
 	info, err := s.reg.Get(req.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, req *http.Request) {
 	info, err := s.reg.Cancel(req.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
@@ -121,10 +136,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, req *http.Request) {
 			"errors":   c.JournalErrors,
 		}
 	}
-	writeJSON(w, http.StatusOK, body)
+	WriteJSON(w, http.StatusOK, body)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers with v as indented JSON and the given status code.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -132,6 +148,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v) // nothing useful to do with a failed write
 }
 
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+// WriteError answers with {"error": err} and the given status code.
+func WriteError(w http.ResponseWriter, code int, err error) {
+	WriteJSON(w, code, map[string]string{"error": err.Error()})
 }

@@ -50,20 +50,32 @@ func TestMapBoundedConcurrency(t *testing.T) {
 }
 
 func TestMapFirstErrorPropagation(t *testing.T) {
+	const procs = 4
 	boom := errors.New("boom")
+	// Items after 7 block until item 7's failure cancels the run (or a
+	// generous timeout, so a regression fails instead of hanging). Each
+	// surviving worker can then have picked up at most one such item.
+	stuck, unstick := context.WithTimeout(context.Background(), 10*time.Second)
+	defer unstick()
 	var calls atomic.Int64
-	err := Map(context.Background(), 1000, 4, func(_ context.Context, i int) error {
+	err := Map(context.Background(), 1000, procs, func(ctx context.Context, i int) error {
 		calls.Add(1)
-		if i == 7 {
+		switch {
+		case i == 7:
 			return fmt.Errorf("item %d: %w", i, boom)
+		case i > 7:
+			select {
+			case <-ctx.Done():
+			case <-stuck.Done():
+			}
 		}
 		return nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
-	if n := calls.Load(); n == 1000 {
-		t.Fatal("error did not stop the remaining work")
+	if n := calls.Load(); n > 8+procs-1 {
+		t.Fatalf("%d calls after the item-7 failure, want at most %d", n, 8+procs-1)
 	}
 }
 

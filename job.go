@@ -296,9 +296,13 @@ type Job struct {
 	started   bool
 	runCancel context.CancelFunc
 	status    JobStatus
-	result    JobResult
-	err       error
-	lastCP    *Checkpoint
+	// finished, result and err are set together with the terminal
+	// status.State, in one critical section, so a reader never sees a
+	// terminal state without its outcome.
+	finished bool
+	result   JobResult
+	err      error
+	lastCP   *Checkpoint
 }
 
 // NewJob builds a managed job: the simulation engine, network and
@@ -417,9 +421,14 @@ func (j *Job) Checkpoint() (Checkpoint, bool) {
 // snapshot refreshes the published status. Called from the simulation
 // goroutine only; readers go through Status.
 func (j *Job) snapshot(state JobState) {
-	e := j.ctl.Engine()
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.snapshotLocked(state)
+}
+
+// snapshotLocked is snapshot with j.mu already held.
+func (j *Job) snapshotLocked(state JobState) {
+	e := j.ctl.Engine()
 	j.status.State = state
 	j.status.Iteration = j.base + e.Completed()
 	j.status.VirtualTime = float64(j.eng.Now())
@@ -511,16 +520,15 @@ func (j *Job) waitIfPaused(ctx context.Context) bool {
 // Done is closed when Run finishes for any reason.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// Result returns the final result once Done is closed. Before that it
-// reports an error.
+// Result returns the final result once the job has reached a terminal
+// state. Before that it reports an error. A Status showing a terminal
+// state guarantees that a later Result call returns the outcome.
 func (j *Job) Result() (JobResult, error) {
-	select {
-	case <-j.done:
-	default:
-		return JobResult{}, fmt.Errorf("autopipe: job still running")
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if !j.finished {
+		return JobResult{}, fmt.Errorf("autopipe: job still running")
+	}
 	return j.result, j.err
 }
 
@@ -543,10 +551,14 @@ func (j *Job) Run(ctx context.Context) (JobResult, error) {
 	j.status.State = JobRunning
 	j.mu.Unlock()
 
-	res, err := j.run(ctx)
+	res, state, err := j.run(ctx)
 
 	j.mu.Lock()
-	j.result, j.err = res, err
+	j.snapshotLocked(state)
+	if state == JobFailed {
+		j.status.Error = err.Error()
+	}
+	j.finished, j.result, j.err = true, res, err
 	j.mu.Unlock()
 	close(j.done)
 	return res, err
@@ -570,10 +582,11 @@ func (j *Job) stopErr(ctx context.Context) error {
 	return ErrCancelled
 }
 
-func (j *Job) run(ctx context.Context) (JobResult, error) {
+// run drives the simulation and returns the outcome with the terminal
+// state for Run to publish.
+func (j *Job) run(ctx context.Context) (JobResult, JobState, error) {
 	if j.stopped(ctx) {
-		j.snapshot(JobCancelled)
-		return JobResult{}, j.stopErr(ctx)
+		return JobResult{}, JobCancelled, j.stopErr(ctx)
 	}
 	remaining := j.batches - j.base
 	j.ctl.Start(ctx, remaining)
@@ -592,16 +605,10 @@ func (j *Job) run(ctx context.Context) (JobResult, error) {
 			// discarded copy never reflects a half-applied switch.
 			e.AbortSwitch()
 		}
-		j.snapshot(JobCancelled)
-		return JobResult{}, j.stopErr(ctx)
+		return JobResult{}, JobCancelled, j.stopErr(ctx)
 	}
 	if e.Completed() != remaining {
-		err := fmt.Errorf("autopipe: job stalled at %d/%d batches", j.base+e.Completed(), j.batches)
-		j.snapshot(JobFailed)
-		j.mu.Lock()
-		j.status.Error = err.Error()
-		j.mu.Unlock()
-		return JobResult{}, err
+		return JobResult{}, JobFailed, fmt.Errorf("autopipe: job stalled at %d/%d batches", j.base+e.Completed(), j.batches)
 	}
 	out := JobResult{
 		Result: Result{
@@ -633,8 +640,7 @@ func (j *Job) run(ctx context.Context) (JobResult, error) {
 			out.SpeedPerIteration = append(out.SpeedPerIteration, float64(w*j.cfg.Model.MiniBatch)/dt)
 		}
 	}
-	j.snapshot(JobDone)
-	return out, nil
+	return out, JobDone, nil
 }
 
 // OptimizePlan hill-climbs a plan for the cluster's current observed
