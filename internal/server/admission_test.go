@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"autopipe"
+	"autopipe/internal/journal"
 )
 
 // TestRetryAfterDerivation pins the 429 Retry-After estimator: queue
@@ -19,15 +20,14 @@ func TestRetryAfterDerivation(t *testing.T) {
 	base := time.Unix(1_700_000_000, 0)
 	now := base
 	r.now = func() time.Time { return now }
-	setDepth := func(d int) {
+	retryAfter := func(depth int) int {
 		r.mu.Lock()
-		r.queued = d
-		r.mu.Unlock()
+		defer r.mu.Unlock()
+		return r.retryAfterLocked(depth)
 	}
 
 	// No drain history yet: fall back to the minimum.
-	setDepth(10)
-	if got := r.RetryAfterSeconds(); got != MinRetryAfterSec {
+	if got := retryAfter(10); got != MinRetryAfterSec {
 		t.Fatalf("cold-start Retry-After = %d, want %d", got, MinRetryAfterSec)
 	}
 
@@ -38,29 +38,30 @@ func TestRetryAfterDerivation(t *testing.T) {
 		r.mu.Unlock()
 	}
 	now = base.Add(5 * time.Second)
-	if got := r.RetryAfterSeconds(); got != 5 {
+	if got := retryAfter(10); got != 5 {
 		t.Fatalf("Retry-After = %d with depth 10 at 2 jobs/s over 5s, want 5", got)
 	}
 
 	// A shallow queue on the same rate clamps to the floor.
-	setDepth(1)
-	if got := r.RetryAfterSeconds(); got != MinRetryAfterSec {
+	if got := retryAfter(1); got != MinRetryAfterSec {
 		t.Fatalf("Retry-After = %d with depth 1, want %d", got, MinRetryAfterSec)
 	}
 
 	// A stalled pool (no drains for 100s) pushes the estimate into the
 	// ceiling: the idle time since the last departure counts against
 	// the rate.
-	setDepth(1000)
 	now = base.Add(100 * time.Second)
-	if got := r.RetryAfterSeconds(); got != MaxRetryAfterSec {
+	if got := retryAfter(1000); got != MaxRetryAfterSec {
 		t.Fatalf("Retry-After = %d with a stalled deep queue, want %d", got, MaxRetryAfterSec)
 	}
 
-	// Empty queue: nothing to wait for.
-	setDepth(0)
-	if got := r.RetryAfterSeconds(); got != MinRetryAfterSec {
+	// Empty queue: nothing to wait for. The public method reads the
+	// live (empty) queue.
+	if got := retryAfter(0); got != MinRetryAfterSec {
 		t.Fatalf("Retry-After = %d with empty queue, want %d", got, MinRetryAfterSec)
+	}
+	if got := r.RetryAfterSeconds(); got != MinRetryAfterSec {
+		t.Fatalf("RetryAfterSeconds() = %d with empty queue, want %d", got, MinRetryAfterSec)
 	}
 
 	// The ring only remembers the newest drainWindow entries: ancient
@@ -71,10 +72,96 @@ func TestRetryAfterDerivation(t *testing.T) {
 		r.noteDrainLocked(now.Add(-time.Duration(drainWindow-i) * 100 * time.Millisecond))
 		r.mu.Unlock()
 	}
-	setDepth(12)
 	// 64 drains over ~6.4s → ~10/s; depth 12 → ceil(1.2s) = 2s.
-	if got := r.RetryAfterSeconds(); got != 2 {
+	if got := retryAfter(12); got != 2 {
 		t.Fatalf("Retry-After = %d after window refill, want 2", got)
+	}
+}
+
+// parkedRegistry builds a pool-of-one registry from opts and submits a
+// blocker job that parks in its first checkpoint, holding the only
+// worker until release is called, so later submissions stay queued.
+// Cleanup releases the blocker and shuts the registry down.
+func parkedRegistry(t *testing.T, opts Options) (r *Registry, blocker JobInfo, release func()) {
+	t.Helper()
+	parked, unpark := make(chan struct{}), make(chan struct{})
+	var first, park sync.Once
+	opts.PoolSize = 1
+	opts.ConfigureJob = func(cfg *autopipe.JobConfig) {
+		first.Do(func() {
+			cfg.CheckpointEvery = 1
+			cfg.OnCheckpoint = func(autopipe.Checkpoint) {
+				park.Do(func() {
+					close(parked)
+					<-unpark
+				})
+			}
+		})
+	}
+	r = NewRegistryWithOptions(opts)
+	t.Cleanup(func() { drain(t, r) }) // cancels whatever is still alive
+	release = sync.OnceFunc(func() { close(unpark) })
+	t.Cleanup(release) // runs first: a parked worker would wedge the drain
+	blocker, err := r.Submit(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-parked
+	return r, blocker, release
+}
+
+// TestShedCostsNoJobBuild pins the shed path's cost: a full queue
+// refuses before the spec is built, so a 429 allocates next to nothing
+// (building the job it would discard costs well over 150 allocations).
+func TestShedCostsNoJobBuild(t *testing.T) {
+	r, _, _ := parkedRegistry(t, Options{MaxQueue: 1})
+	if _, err := r.Submit(smallSpec()); err != nil { // fills the queue
+		t.Fatal(err)
+	}
+	spec := smallSpec()
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := r.Submit(spec); !errors.Is(err, ErrQueueFull) {
+			t.Fatalf("submit to a full queue = %v, want ErrQueueFull", err)
+		}
+	})
+	if allocs > 20 {
+		t.Fatalf("shed submission allocates %.0f times, want ≤ 20", allocs)
+	}
+	// Shedding comes before validation: an invalid spec is shed too.
+	if _, err := r.Submit(JobSpec{Model: "GPT9"}); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("invalid spec at a full queue = %v, want ErrQueueFull", err)
+	}
+}
+
+// TestSubmitNotDurable: a submission whose spec cannot be journaled is
+// refused with ErrNotDurable (503 over HTTP) and leaves no trace — no
+// job, no queue slot, no admission — apart from the journal error.
+func TestSubmitNotDurable(t *testing.T) {
+	jl, _, err := journal.Open(t.TempDir(), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRegistryWithOptions(Options{PoolSize: 1, Journal: jl})
+	ts := newHTTPServer(t, New(r), r)
+	jl.Close() // every later append fails
+	before := r.Counters()
+
+	if _, err := r.SubmitWithID("job-lost", smallSpec()); !errors.Is(err, ErrNotDurable) {
+		t.Fatalf("Submit on a failed journal = %v, want ErrNotDurable", err)
+	}
+	if _, err := r.Get("job-lost"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get of the refused job = %v, want ErrNotFound", err)
+	}
+	if n, d := len(r.List()), r.Depth(); n != 0 || d != 0 {
+		t.Fatalf("refused job left %d listed, depth %d", n, d)
+	}
+	c := r.Counters()
+	if c.Admitted != before.Admitted || c.JournalErrors != before.JournalErrors+1 {
+		t.Fatalf("counters admitted/journal errors = %d/%d, want %d/%d",
+			c.Admitted, c.JournalErrors, before.Admitted, before.JournalErrors+1)
+	}
+	if code, raw := doJSON(t, "POST", ts.URL+"/v1/jobs", smallSpec(), nil); code != 503 {
+		t.Fatalf("HTTP submit on a failed journal = %d: %s", code, raw)
 	}
 }
 
@@ -91,34 +178,7 @@ func TestAdmissionAccountingUnderBursts(t *testing.T) {
 		overflow      = 32
 		cancelWorkers = 4
 	)
-	parked, unpark := make(chan struct{}), make(chan struct{})
-	var first, park sync.Once
-	r := NewRegistryWithOptions(Options{
-		PoolSize: 1, MaxQueue: maxQueue,
-		ConfigureJob: func(cfg *autopipe.JobConfig) {
-			first.Do(func() {
-				cfg.CheckpointEvery = 1
-				cfg.OnCheckpoint = func(autopipe.Checkpoint) {
-					park.Do(func() {
-						close(parked)
-						<-unpark
-					})
-				}
-			})
-		},
-	})
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-		defer cancel()
-		r.Shutdown(ctx) // cancels whatever is still alive
-	}()
-	release := sync.OnceFunc(func() { close(unpark) })
-	defer release()
-	blocker, err := r.Submit(smallSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-parked
+	r, blocker, release := parkedRegistry(t, Options{MaxQueue: maxQueue})
 
 	var admitted, shed atomic.Int64
 	ids := make(chan string, maxQueue+overflow)

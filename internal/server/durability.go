@@ -1,0 +1,188 @@
+package server
+
+import (
+	"encoding/json"
+	"time"
+
+	"autopipe"
+	"autopipe/internal/journal"
+)
+
+// Journal record payloads. Each is self-contained JSON so the journal
+// stays inspectable with standard tools.
+type submittedRec struct {
+	ID      string    `json:"id"`
+	Created time.Time `json:"created_at"`
+	Spec    JobSpec   `json:"spec"`
+}
+
+type stateRec struct {
+	ID     string            `json:"id"`
+	State  autopipe.JobState `json:"state"`
+	Reason string            `json:"reason,omitempty"`
+}
+
+type checkpointRec struct {
+	ID         string              `json:"id"`
+	Checkpoint autopipe.Checkpoint `json:"checkpoint"`
+}
+
+type completedRec struct {
+	ID   string  `json:"id"`
+	Info JobInfo `json:"info"`
+}
+
+// journalAppend marshals and fsyncs one record, and counts and returns
+// a failure. Only admission acts on the error; every other record is
+// count-and-continue, so the registry keeps serving with degraded
+// durability. Callers must not hold r.mu (fsync under the registry lock
+// would stall the whole API). The OnRecord hook observes every record,
+// journal or not, so fleet replication works on journal-less registries
+// too. Records at or below a job's fence tombstone, and everything
+// after Kill, are discarded: a stale copy's output must not reach disk
+// or the replication stream.
+func (r *Registry) journalAppend(typ journal.Type, id string, fence uint64, payload any) error {
+	if (r.opts.Journal == nil && r.opts.OnRecord == nil) || r.killed.Load() {
+		return nil
+	}
+	if tomb, gone := r.tombstone(id); gone && fence <= tomb {
+		return nil
+	}
+	r.jmu.RLock()
+	defer r.jmu.RUnlock()
+	data, err := json.Marshal(payload)
+	if err == nil {
+		rec := journal.Record{Type: typ, JobID: id, Fence: fence, Data: data}
+		if r.opts.Journal != nil {
+			err = r.opts.Journal.Append(rec)
+		}
+		if err == nil && r.opts.OnRecord != nil {
+			r.opts.OnRecord(rec)
+		}
+	}
+	if err != nil {
+		r.count(&r.counters.JournalErrors, 1)
+	}
+	return err
+}
+
+// compact rewrites the journal down to the live state. Unforced, it
+// fires only once history spreads over several segments or — during
+// steady-state operation — once fewer than compactLiveRatio of the
+// journaled records are still live (completed jobs and superseded
+// checkpoints dominate the log). Recover forces it to drop pre-crash
+// history, and FenceOut to guarantee a fenced job's stale tail is gone
+// the moment ownership transfer is acknowledged.
+func (r *Registry) compact(force bool) {
+	if r.opts.Journal == nil || r.killed.Load() {
+		return
+	}
+	r.jmu.Lock()
+	defer r.jmu.Unlock()
+	if !force && r.opts.Journal.Segments() < compactAfterSegments && !r.ratioWantsCompaction() {
+		return
+	}
+	if err := r.opts.Journal.Compact(r.exportRecords(nil)); err != nil {
+		r.count(&r.counters.JournalErrors, 1)
+	}
+}
+
+// ratioWantsCompaction implements the steady-state trigger: the journal
+// holds enough records to be worth rewriting and less than
+// compactLiveRatio of them is still live. Called with jmu held. The
+// live count is estimated from job states (one submission per job, plus
+// state/checkpoint for running and a final record for finished jobs) —
+// exactly what exportRecords emits, without marshalling anything.
+func (r *Registry) ratioWantsCompaction() bool {
+	total := r.opts.Journal.Records()
+	if total < compactMinRecords {
+		return false
+	}
+	n := 0
+	for _, id := range r.snapshotOrder() {
+		m, ok := r.lookup(id)
+		if !ok {
+			continue
+		}
+		n++ // submitted
+		if m.final != nil {
+			n++
+			continue
+		}
+		switch m.job.Status().State {
+		case autopipe.JobQueued:
+			// The submission record alone re-queues it.
+		case autopipe.JobRunning:
+			n++ // state record
+			if _, ok := m.job.Checkpoint(); ok {
+				n++
+			}
+		default:
+			n++ // completion record
+		}
+	}
+	return float64(n) < compactLiveRatio*float64(total)
+}
+
+// ExportRecords renders the live record stream for the given job IDs
+// (every job when none are given): the same compact form compaction
+// writes and Recover/Adopt replay. The fleet layer uses it to
+// full-sync a job's durable state to its ring successor. Every record
+// carries the job's current fence epoch, so receivers can refuse
+// stale-owner streams.
+func (r *Registry) ExportRecords(ids ...string) []journal.Record {
+	var filter map[string]bool
+	if len(ids) > 0 {
+		filter = make(map[string]bool, len(ids))
+		for _, id := range ids {
+			filter[id] = true
+		}
+	}
+	return r.exportRecords(filter)
+}
+
+// exportRecords renders the current state of the jobs in filter (every
+// job when nil) as a compact record stream: one submission per job, plus
+// its latest state, checkpoint or final result. Replaying it is
+// equivalent to replaying the full history.
+func (r *Registry) exportRecords(filter map[string]bool) []journal.Record {
+	var out []journal.Record
+	emit := func(typ journal.Type, id string, fence uint64, payload any) {
+		if data, err := json.Marshal(payload); err == nil {
+			out = append(out, journal.Record{Type: typ, JobID: id, Fence: fence, Data: data})
+		}
+	}
+	for _, id := range r.snapshotOrder() {
+		if filter != nil && !filter[id] {
+			continue
+		}
+		m, ok := r.lookup(id)
+		if !ok {
+			continue
+		}
+		emit(journal.TypeSubmitted, id, m.fence, submittedRec{ID: id, Created: m.created, Spec: m.spec})
+		if m.final != nil {
+			emit(journal.TypeCompleted, id, m.fence, completedRec{ID: id, Info: *m.final})
+			continue
+		}
+		st := m.job.Status()
+		switch st.State {
+		case autopipe.JobQueued:
+			// The submission record alone re-queues it.
+		case autopipe.JobRunning:
+			emit(journal.TypeState, id, m.fence, stateRec{ID: id, State: autopipe.JobRunning})
+			if cp, ok := m.job.Checkpoint(); ok {
+				emit(journal.TypeCheckpoint, id, m.fence, checkpointRec{ID: id, Checkpoint: cp})
+			}
+		default:
+			// Finished but its completion record hasn't been written
+			// yet (run() is about to): snapshot what we have.
+			info := JobInfo{ID: id, Created: m.created, Spec: m.spec, Fence: m.fence, Status: st}
+			if res, err := m.job.Result(); err == nil {
+				info.Result = &res
+			}
+			emit(journal.TypeCompleted, id, m.fence, completedRec{ID: id, Info: info})
+		}
+	}
+	return out
+}

@@ -353,7 +353,6 @@ func TestWatchdogKillsStuckJob(t *testing.T) {
 		PoolSize:        1,
 		CheckpointEvery: -1,
 		WatchdogQuiet:   50 * time.Millisecond,
-		WatchdogPoll:    5 * time.Millisecond,
 		ConfigureJob: func(cfg *autopipe.JobConfig) {
 			cfg.Predictor = blockingPredictor{gate: gate}
 		},

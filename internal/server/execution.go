@@ -1,0 +1,203 @@
+package server
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"time"
+
+	"autopipe"
+	"autopipe/internal/journal"
+)
+
+// enqueueLocked appends a job to the run queue and wakes one idle
+// worker. Caller holds r.mu.
+func (r *Registry) enqueueLocked(m *managedJob) {
+	r.queue = append(r.queue, m)
+	r.work.Signal()
+}
+
+// worker is one of the PoolSize long-lived pool goroutines: it pops the
+// oldest queued job and runs it, until the registry is closed and no
+// queued or half-admitted job is left. A job popped after Shutdown or
+// Kill began is refused — drain must never start fresh work. A
+// cancelled queued job keeps its slot until a worker pops it; its Run
+// then returns at once.
+func (r *Registry) worker() {
+	defer r.workers.Done()
+	for {
+		r.mu.Lock()
+		for len(r.queue) == 0 && (!r.closed || r.reserved > 0) {
+			r.work.Wait()
+		}
+		if len(r.queue) == 0 {
+			r.mu.Unlock()
+			return
+		}
+		m := r.queue[0]
+		r.queue[0] = nil
+		r.queue = r.queue[1:]
+		r.noteDrainLocked(r.now())
+		refuse := r.closed
+		if refuse {
+			r.counters.DrainRefused++
+		}
+		r.mu.Unlock()
+		r.run(m, refuse)
+	}
+}
+
+// run executes one popped job on the calling worker, which is also the
+// goroutine that journals its running record, checkpoints and
+// completion. Cancelling a queued job is honoured the moment it is
+// popped: Run returns immediately with ErrCancelled before any virtual
+// time elapses.
+func (r *Registry) run(m *managedJob, refuse bool) {
+	m.mu.Lock()
+	if refuse {
+		m.overrideState = autopipe.JobCancelled
+		m.overrideReason = ErrClosed.Error()
+		m.mu.Unlock()
+		m.job.Cancel()
+		r.journalAppend(journal.TypeCompleted, m.id, m.fence, completedRec{ID: m.id, Info: r.info(m)})
+		return
+	}
+	m.lastIter = 0
+	m.lastProgress = r.now()
+	m.mu.Unlock()
+	r.journalAppend(journal.TypeState, m.id, m.fence, stateRec{ID: m.id, State: autopipe.JobRunning})
+
+	// A job popped while the node sits in a minority partition starts
+	// paused; the double-check closes the race with a concurrent
+	// ResumeAll.
+	if r.minority.Load() {
+		m.job.Pause()
+		if !r.minority.Load() {
+			m.job.Resume()
+		}
+	}
+
+	// Cancellation flows through Job.Cancel (invoked by the DELETE
+	// handler and the watchdog), which aborts the run's internal context
+	// mid-search; JobTimeout adds an external deadline on top.
+	ctx := context.Background()
+	if r.opts.JobTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, r.opts.JobTimeout)
+		defer cancel()
+	}
+	_, err := m.job.Run(ctx) // result and error are retained on the Job itself
+	if errors.Is(err, context.DeadlineExceeded) {
+		m.mu.Lock()
+		m.overrideState = autopipe.JobFailed
+		m.overrideReason = fmt.Sprintf("job deadline exceeded after %s", r.opts.JobTimeout)
+		m.mu.Unlock()
+		r.count(&r.counters.DeadlineKills, 1)
+	}
+	r.journalAppend(journal.TypeCompleted, m.id, m.fence, completedRec{ID: m.id, Info: r.info(m)})
+	r.compact(false)
+}
+
+// Depth returns the number of jobs waiting for a pool slot.
+func (r *Registry) Depth() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.queue)
+}
+
+// noteDrainLocked records one queue departure for the Retry-After
+// estimator. Caller holds r.mu.
+func (r *Registry) noteDrainLocked(now time.Time) {
+	r.drains.times[r.drains.n%drainWindow] = now
+	r.drains.n++
+}
+
+// RetryAfterSeconds estimates how long a shed client should wait before
+// retrying: the current queue depth divided by the recently observed
+// drain rate (queue departures per second over the remembered window,
+// including the idle time since the last departure, so a stalled pool
+// pushes the hint up). Clamped to [MinRetryAfterSec, MaxRetryAfterSec];
+// with no drain history yet it falls back to the minimum — one pool
+// slot turning over is the natural cold-start horizon.
+func (r *Registry) RetryAfterSeconds() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.retryAfterLocked(len(r.queue))
+}
+
+// retryAfterLocked is RetryAfterSeconds for a given queue depth. Caller
+// holds r.mu.
+func (r *Registry) retryAfterLocked(depth int) int {
+	count := min(r.drains.n, drainWindow)
+	if count == 0 || depth == 0 {
+		return MinRetryAfterSec
+	}
+	oldest := r.drains.times[(r.drains.n-count)%drainWindow]
+	elapsed := r.now().Sub(oldest).Seconds()
+	if elapsed <= 0 {
+		return MinRetryAfterSec
+	}
+	// ceil(depth / rate) with rate = count/elapsed.
+	secs := int((float64(depth) * elapsed / float64(count)) + 0.999)
+	return min(max(secs, MinRetryAfterSec), MaxRetryAfterSec)
+}
+
+// markClosed marks the registry closed, wakes every idle worker so it can
+// drain the queue and exit, and stops the watchdog.
+func (r *Registry) markClosed() {
+	r.mu.Lock()
+	already := r.closed
+	r.closed = true
+	r.work.Broadcast()
+	r.mu.Unlock()
+	if !already {
+		r.watchOnce.Do(func() {}) // ensure no late watchdog start
+		close(r.stopWatch)
+	}
+}
+
+// cancelAll cancels every hosted job.
+func (r *Registry) cancelAll() {
+	for _, m := range r.allJobs() {
+		if m.job != nil {
+			m.job.Cancel()
+		}
+	}
+}
+
+// Kill simulates an abrupt daemon death — the in-process equivalent of
+// SIGKILL used by the fleet chaos tests. The registry stops accepting
+// work, every hosted job's context is cancelled, and, unlike Shutdown,
+// nothing further is journaled or streamed to OnRecord: from the
+// outside the node's durable state freezes exactly where the "crash"
+// caught it. Kill does not wait for the workers to unwind.
+func (r *Registry) Kill() {
+	if r.killed.Swap(true) {
+		return
+	}
+	r.markClosed()
+	r.cancelAll()
+}
+
+// Shutdown drains the registry: new submissions are refused, queued
+// jobs that reach a worker are refused with ErrClosed, and running jobs
+// are given until ctx expires to finish naturally, after which
+// everything still alive is cancelled. It always waits for the workers
+// to exit and stops the watchdog; the returned error is ctx's if the
+// deadline forced cancellation.
+func (r *Registry) Shutdown(ctx context.Context) error {
+	r.markClosed()
+	done := make(chan struct{})
+	go func() {
+		r.workers.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+	}
+	r.cancelAll()
+	<-done // cancellation is honoured between events, so this is prompt
+	return ctx.Err()
+}

@@ -21,10 +21,7 @@
 package server
 
 import (
-	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,7 +44,12 @@ var ErrQueueFull = errors.New("server: admission queue full")
 // from the fleet majority; the HTTP layer maps it to 503 + Retry-After.
 var ErrMinority = errors.New("server: node is in a minority partition")
 
-// Defaults for Options zero values.
+// ErrNotDurable is returned by Submit when the submission could not be
+// journaled; the job is not registered and the HTTP layer maps it to
+// 503.
+var ErrNotDurable = errors.New("server: submission could not be made durable")
+
+// Defaults for Options zero values, and the registry's fixed tuning.
 const (
 	// DefaultMaxQueue bounds jobs waiting for a pool slot.
 	DefaultMaxQueue = 1024
@@ -60,12 +62,12 @@ const (
 	// compactAfterSegments triggers journal compaction once history
 	// spreads over this many segment files.
 	compactAfterSegments = 4
-	// DefaultCompactMinRecords is the journal size (in records) below
-	// which the steady-state live/total ratio trigger never fires.
-	DefaultCompactMinRecords = 64
-	// DefaultCompactLiveRatio triggers steady-state compaction once
-	// fewer than this fraction of journaled records are still live.
-	DefaultCompactLiveRatio = 0.5
+	// compactMinRecords is the journal size (in records) below which the
+	// steady-state live/total ratio trigger never fires.
+	compactMinRecords = 64
+	// compactLiveRatio triggers steady-state compaction once fewer than
+	// this fraction of journaled records are still live.
+	compactLiveRatio = 0.5
 	// drainWindow is how many recent queue departures the Retry-After
 	// estimator remembers.
 	drainWindow = 64
@@ -99,11 +101,10 @@ type Options struct {
 	JobTimeout time.Duration
 	// WatchdogQuiet is the no-progress period after which a running job
 	// is cancelled and marked failed (0 = DefaultWatchdogQuiet,
-	// negative disables the watchdog). The daemon clamps its flag to
-	// [5s, 10m]; the registry accepts any positive value for tests.
+	// negative disables the watchdog). The watchdog scans four times per
+	// period. The daemon clamps its flag to [5s, 10m]; the registry
+	// accepts any positive value for tests.
 	WatchdogQuiet time.Duration
-	// WatchdogPoll is the scan period (0 = WatchdogQuiet/4).
-	WatchdogPoll time.Duration
 	// DaemonKill is the chaos KillDaemon hook installed on every hosted
 	// job (see autopipe.ChaosKillDaemon).
 	DaemonKill func()
@@ -121,17 +122,10 @@ type Options struct {
 	// OnRecord observes every journal record the registry produces
 	// (whether or not a Journal is configured) — the fleet layer streams
 	// them to the job's ring successor. It is invoked with an internal
-	// lock held, possibly from many job goroutines at once: it must be
+	// lock held, possibly from many workers at once: it must be
 	// fast, safe for concurrent use, and must not call back into the
 	// registry.
 	OnRecord func(journal.Record)
-	// CompactMinRecords is the journal size in records below which the
-	// steady-state ratio compaction never fires (0 = default).
-	CompactMinRecords int
-	// CompactLiveRatio triggers compaction during normal operation when
-	// live/total journaled records drops below it (0 = default,
-	// negative = disabled; segment-count compaction still applies).
-	CompactLiveRatio float64
 }
 
 // Counters aggregates registry-level activity for /metrics and tests.
@@ -159,27 +153,36 @@ type jobShard struct {
 	jobs map[string]*managedJob
 }
 
-// Registry owns the daemon's jobs. Every submitted job gets a
-// goroutine immediately, but at most PoolSize jobs simulate
-// concurrently — the rest report the queued state until a pool slot
-// frees up. All methods are safe for concurrent use.
+// Registry owns the daemon's jobs. Admitted jobs wait in one FIFO run
+// queue, and PoolSize long-lived workers pop and simulate them, so at
+// most PoolSize jobs run at once and the rest report the queued state.
+// All methods are safe for concurrent use.
 type Registry struct {
 	opts Options
-	sem  chan struct{}
 
 	// shards stripes the job map by FNV-1a of the job id so lookups for
 	// different jobs (status polls, cancels, admission dup-checks) do
 	// not serialize on the global accounting mutex.
 	shards [jobShards]jobShard
 
-	mu       sync.Mutex
-	order    []string // submission order, for stable listings
-	seq      int
-	queued   int
+	mu    sync.Mutex
+	order []string // submission order, for stable listings
+	seq   int
+	// queue holds the jobs waiting for a worker, oldest first; reserved
+	// counts admissions that claimed a queue slot and are still
+	// journaling their submission. Together they bound MaxQueue.
+	queue    []*managedJob
+	reserved int
 	closed   bool
-	killed   bool // abrupt death: suppress all journal/replication output
 	counters Counters
-	wg       sync.WaitGroup
+	// work (on r.mu) wakes one idle worker when a job is queued, and
+	// every waiter on close and when the last in-flight admission settles.
+	work    sync.Cond
+	workers sync.WaitGroup
+
+	// killed marks an abrupt death: all journal/replication output is
+	// suppressed.
+	killed atomic.Bool
 
 	// minority flips the registry into partition-shedding mode: see
 	// SetMinority.
@@ -193,12 +196,8 @@ type Registry struct {
 
 	// jmu excludes journal appends against compaction so a record can
 	// never land in a segment that a concurrent Compact deletes.
-	// Appends take the read side — many jobs journal state transitions
-	// concurrently and the journal group-commits them into shared
-	// fsyncs; serialising them here (the pre-group-commit design) made
-	// every state transition pay its own fsync under one global lock,
-	// which is exactly the admission-latency collapse the load harness
-	// flushed out.
+	// Appends take the read side, so concurrent jobs reach the journal
+	// together and its group commit shares one fsync among them.
 	jmu sync.RWMutex
 
 	// drains is a ring of recent queue-departure times; RetryAfterSeconds
@@ -232,8 +231,6 @@ type managedJob struct {
 	overrideReason string
 	lastIter       int       // watchdog progress marker
 	lastProgress   time.Time // when lastIter last advanced
-	poolStarted    bool      // run() has claimed a pool slot
-	detached       bool      // handed to a fleet peer or fenced out; run() must not start it
 }
 
 // NewRegistry builds a registry running at most poolSize simulations
@@ -244,7 +241,7 @@ func NewRegistry(poolSize int) *Registry {
 }
 
 // NewRegistryWithOptions builds a registry from opts (zero values take
-// the documented defaults).
+// the documented defaults) and starts its PoolSize workers.
 func NewRegistryWithOptions(opts Options) *Registry {
 	if opts.PoolSize < 1 {
 		opts.PoolSize = 1
@@ -252,42 +249,27 @@ func NewRegistryWithOptions(opts Options) *Registry {
 	if opts.MaxQueue <= 0 {
 		opts.MaxQueue = DefaultMaxQueue
 	}
-	switch {
-	case opts.CheckpointEvery < 0:
-		opts.CheckpointEvery = 0
-	case opts.CheckpointEvery == 0:
+	if opts.CheckpointEvery == 0 {
 		opts.CheckpointEvery = DefaultCheckpointEvery
 	}
-	switch {
-	case opts.WatchdogQuiet < 0:
-		opts.WatchdogQuiet = 0
-	case opts.WatchdogQuiet == 0:
+	opts.CheckpointEvery = max(opts.CheckpointEvery, 0) // negative disables
+	if opts.WatchdogQuiet == 0 {
 		opts.WatchdogQuiet = DefaultWatchdogQuiet
 	}
-	if opts.WatchdogPoll <= 0 {
-		opts.WatchdogPoll = opts.WatchdogQuiet / 4
-		if opts.WatchdogPoll <= 0 {
-			opts.WatchdogPoll = time.Second
-		}
-	}
-	if opts.CompactMinRecords <= 0 {
-		opts.CompactMinRecords = DefaultCompactMinRecords
-	}
-	switch {
-	case opts.CompactLiveRatio < 0:
-		opts.CompactLiveRatio = 0
-	case opts.CompactLiveRatio == 0:
-		opts.CompactLiveRatio = DefaultCompactLiveRatio
-	}
+	opts.WatchdogQuiet = max(opts.WatchdogQuiet, 0) // negative disables
 	r := &Registry{
 		opts:      opts,
-		sem:       make(chan struct{}, opts.PoolSize),
 		fenced:    map[string]uint64{},
 		stopWatch: make(chan struct{}),
 		now:       time.Now,
 	}
+	r.work.L = &r.mu
 	for i := range r.shards {
 		r.shards[i].jobs = map[string]*managedJob{}
+	}
+	r.workers.Add(opts.PoolSize)
+	for i := 0; i < opts.PoolSize; i++ {
+		go r.worker()
 	}
 	return r
 }
@@ -325,8 +307,15 @@ func (r *Registry) allJobs() []*managedJob {
 	return out
 }
 
+// snapshotOrder copies the submission order.
+func (r *Registry) snapshotOrder() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]string(nil), r.order...)
+}
+
 // PoolSize returns the maximum number of concurrently running jobs.
-func (r *Registry) PoolSize() int { return cap(r.sem) }
+func (r *Registry) PoolSize() int { return r.opts.PoolSize }
 
 // MaxQueue returns the admission-queue bound.
 func (r *Registry) MaxQueue() int { return r.opts.MaxQueue }
@@ -336,6 +325,13 @@ func (r *Registry) Counters() Counters {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.counters
+}
+
+// count bumps one counter under r.mu.
+func (r *Registry) count(c *int64, n int64) {
+	r.mu.Lock()
+	*c += n
+	r.mu.Unlock()
 }
 
 // JournalStats reports the journal's counters; ok is false when the
@@ -354,1193 +350,4 @@ func (r *Registry) JournalSegments() int {
 		return 0
 	}
 	return r.opts.Journal.Segments()
-}
-
-// Journal record payloads. Each is self-contained JSON so the journal
-// stays inspectable with standard tools.
-type submittedRec struct {
-	ID      string    `json:"id"`
-	Created time.Time `json:"created_at"`
-	Spec    JobSpec   `json:"spec"`
-}
-
-type stateRec struct {
-	ID     string            `json:"id"`
-	State  autopipe.JobState `json:"state"`
-	Reason string            `json:"reason,omitempty"`
-}
-
-type checkpointRec struct {
-	ID         string              `json:"id"`
-	Checkpoint autopipe.Checkpoint `json:"checkpoint"`
-}
-
-type completedRec struct {
-	ID   string  `json:"id"`
-	Info JobInfo `json:"info"`
-}
-
-// Submit validates the spec, journals it, builds the job and starts it
-// on the pool. Submissions beyond the admission queue are refused with
-// ErrQueueFull; submissions after Shutdown with ErrClosed.
-func (r *Registry) Submit(spec JobSpec) (JobInfo, error) {
-	return r.SubmitWithID("", spec)
-}
-
-// ErrDuplicateID is returned by SubmitWithID for an ID already hosted.
-var ErrDuplicateID = errors.New("server: job id already exists")
-
-// SubmitWithID is Submit with a caller-assigned job ID — the fleet
-// layer assigns globally unique IDs at the gateway node so the
-// consistent-hash ring can place jobs before they reach their owner. An
-// empty ID draws from the registry's own sequence.
-func (r *Registry) SubmitWithID(id string, spec JobSpec) (JobInfo, error) {
-	if r.minority.Load() {
-		r.mu.Lock()
-		r.counters.MinorityShed++
-		r.mu.Unlock()
-		return JobInfo{}, ErrMinority
-	}
-	cfg, batches, err := spec.build()
-	if err != nil {
-		return JobInfo{}, fmt.Errorf("invalid job spec: %w", err)
-	}
-	m := &managedJob{spec: spec, batches: batches, fence: 1}
-	r.prepare(&cfg, m)
-	j, err := autopipe.NewJob(cfg, batches)
-	if err != nil {
-		return JobInfo{}, fmt.Errorf("invalid job spec: %w", err)
-	}
-	m.job = j
-
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return JobInfo{}, ErrClosed
-	}
-	if r.queued >= r.opts.MaxQueue {
-		r.counters.Shed++
-		r.mu.Unlock()
-		return JobInfo{}, ErrQueueFull
-	}
-	if id == "" {
-		r.seq++
-		id = fmt.Sprintf("job-%04d", r.seq)
-	}
-	if _, gone := r.tombstone(id); gone {
-		// The id was fenced away to another node; it still exists
-		// cluster-wide, so resubmitting it here is a duplicate.
-		r.mu.Unlock()
-		return JobInfo{}, fmt.Errorf("%w: %s", ErrDuplicateID, id)
-	}
-	m.id = id
-	m.created = r.now()
-	sh := r.shard(id)
-	sh.mu.Lock()
-	if _, ok := sh.jobs[id]; ok {
-		sh.mu.Unlock()
-		r.mu.Unlock()
-		return JobInfo{}, fmt.Errorf("%w: %s", ErrDuplicateID, id)
-	}
-	sh.jobs[id] = m
-	sh.mu.Unlock()
-	r.order = append(r.order, m.id)
-	r.queued++
-	r.counters.Admitted++
-	r.wg.Add(1)
-	r.mu.Unlock()
-
-	r.startWatchdog()
-	// The spec is durable before the submission is acknowledged: a
-	// crash after this point re-queues the job on recovery.
-	r.journalAppend(journal.TypeSubmitted, m.id, m.fence, submittedRec{ID: m.id, Created: m.created, Spec: spec})
-	go r.run(m)
-	return r.info(m), nil
-}
-
-// prepare wires the registry's per-job hooks into a built JobConfig.
-// m.id may not be assigned yet; the hooks only fire once the job runs.
-func (r *Registry) prepare(cfg *autopipe.JobConfig, m *managedJob) {
-	if r.opts.CheckpointEvery > 0 {
-		cfg.CheckpointEvery = r.opts.CheckpointEvery
-		cfg.OnCheckpoint = func(cp autopipe.Checkpoint) {
-			r.mu.Lock()
-			r.counters.Checkpoints++
-			r.mu.Unlock()
-			r.journalAppend(journal.TypeCheckpoint, m.id, m.fence, checkpointRec{ID: m.id, Checkpoint: cp})
-			r.maybeCompact()
-		}
-	}
-	cfg.DaemonKill = r.opts.DaemonKill
-	cfg.PartitionHook = r.opts.PartitionHook
-	if r.opts.ConfigureJob != nil {
-		r.opts.ConfigureJob(cfg)
-	}
-}
-
-// run executes one job under the pool semaphore. Cancelling a queued
-// job is honoured the moment it acquires a slot: Run returns
-// immediately with ErrCancelled before any virtual time elapses. A job
-// that wins a slot after Shutdown began is refused — drain must never
-// start fresh work.
-func (r *Registry) run(m *managedJob) {
-	defer r.wg.Done()
-	r.sem <- struct{}{}
-	defer func() { <-r.sem }()
-
-	r.mu.Lock()
-	r.queued--
-	r.noteDrainLocked(r.now())
-	closed := r.closed
-	r.mu.Unlock()
-
-	m.mu.Lock()
-	if m.detached {
-		// DetachQueued handed this job to a fleet peer (or FenceOut
-		// abandoned it) while it waited for a slot; it is not ours to
-		// start.
-		m.mu.Unlock()
-		return
-	}
-	m.poolStarted = true
-	if closed {
-		m.overrideState = autopipe.JobCancelled
-		m.overrideReason = ErrClosed.Error()
-		m.mu.Unlock()
-		r.mu.Lock()
-		r.counters.DrainRefused++
-		r.mu.Unlock()
-		m.job.Cancel()
-		r.journalAppend(journal.TypeCompleted, m.id, m.fence, completedRec{ID: m.id, Info: r.info(m)})
-		return
-	}
-	m.lastIter = 0
-	m.lastProgress = r.now()
-	m.mu.Unlock()
-	r.journalAppend(journal.TypeState, m.id, m.fence, stateRec{ID: m.id, State: autopipe.JobRunning})
-
-	// A job winning its slot while the node sits in a minority
-	// partition starts paused; the double-check closes the race with a
-	// concurrent ResumeAll.
-	if r.minority.Load() {
-		m.job.Pause()
-		if !r.minority.Load() {
-			m.job.Resume()
-		}
-	}
-
-	// Cancellation flows through Job.Cancel (invoked by the DELETE
-	// handler and the watchdog), which aborts the run's internal context
-	// mid-search; JobTimeout adds an external deadline on top.
-	ctx := context.Background()
-	if r.opts.JobTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.opts.JobTimeout)
-		defer cancel()
-	}
-	_, err := m.job.Run(ctx) // result and error are retained on the Job itself
-	if errors.Is(err, context.DeadlineExceeded) {
-		m.mu.Lock()
-		m.overrideState = autopipe.JobFailed
-		m.overrideReason = fmt.Sprintf("job deadline exceeded after %s", r.opts.JobTimeout)
-		m.mu.Unlock()
-		r.mu.Lock()
-		r.counters.DeadlineKills++
-		r.mu.Unlock()
-	}
-	r.journalAppend(journal.TypeCompleted, m.id, m.fence, completedRec{ID: m.id, Info: r.info(m)})
-	r.maybeCompact()
-}
-
-// Get returns one job's info.
-func (r *Registry) Get(id string) (JobInfo, error) {
-	m, ok := r.lookup(id)
-	if !ok {
-		return JobInfo{}, ErrNotFound
-	}
-	return r.info(m), nil
-}
-
-// List returns every job in submission order.
-func (r *Registry) List() []JobInfo {
-	r.mu.Lock()
-	order := append([]string(nil), r.order...)
-	r.mu.Unlock()
-	out := make([]JobInfo, 0, len(order))
-	for _, id := range order {
-		if m, ok := r.lookup(id); ok {
-			out = append(out, r.info(m))
-		}
-	}
-	return out
-}
-
-// Cancel stops a queued or running job. Cancelling a finished job is a
-// no-op; unknown ids return ErrNotFound.
-func (r *Registry) Cancel(id string) (JobInfo, error) {
-	m, ok := r.lookup(id)
-	if !ok {
-		return JobInfo{}, ErrNotFound
-	}
-	if m.job != nil {
-		m.job.Cancel()
-	}
-	return r.info(m), nil
-}
-
-func (r *Registry) info(m *managedJob) JobInfo {
-	if m.final != nil {
-		info := *m.final
-		// A journal-restored (or adopted) result lives wherever it was
-		// rebuilt: present the current host, not the original owner.
-		if r.opts.NodeID != "" {
-			info.Node = r.opts.NodeID
-		}
-		info.Fence = m.fence
-		return info
-	}
-	info := JobInfo{
-		ID:      m.id,
-		Created: m.created,
-		Spec:    m.spec,
-		Node:    r.opts.NodeID,
-		Fence:   m.fence,
-		Status:  m.job.Status(),
-	}
-	if res, err := m.job.Result(); err == nil {
-		info.Result = &res
-	}
-	m.mu.Lock()
-	if m.overrideReason != "" {
-		// The registry killed (or refused) this job: present the cause,
-		// not the generic cancelled state the Job reports.
-		info.Status.State = m.overrideState
-		info.Status.Error = m.overrideReason
-	}
-	m.mu.Unlock()
-	return info
-}
-
-// Depth returns the number of jobs waiting for a pool slot.
-func (r *Registry) Depth() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.queued
-}
-
-// noteDrainLocked records one queue departure for the Retry-After
-// estimator. Caller holds r.mu.
-func (r *Registry) noteDrainLocked(now time.Time) {
-	r.drains.times[r.drains.n%drainWindow] = now
-	r.drains.n++
-}
-
-// RetryAfterSeconds estimates how long a shed client should wait before
-// retrying: the current queue depth divided by the recently observed
-// drain rate (queue departures per second over the remembered window,
-// including the idle time since the last departure, so a stalled pool
-// pushes the hint up). Clamped to [MinRetryAfterSec, MaxRetryAfterSec];
-// with no drain history yet it falls back to the minimum — one pool
-// slot turning over is the natural cold-start horizon.
-func (r *Registry) RetryAfterSeconds() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	count := r.drains.n
-	if count > drainWindow {
-		count = drainWindow
-	}
-	if count == 0 || r.queued == 0 {
-		return MinRetryAfterSec
-	}
-	oldest := r.drains.times[(r.drains.n-count)%drainWindow]
-	elapsed := r.now().Sub(oldest).Seconds()
-	if elapsed <= 0 {
-		return MinRetryAfterSec
-	}
-	// ceil(depth / rate) with rate = count/elapsed.
-	secs := int((float64(r.queued) * elapsed / float64(count)) + 0.999)
-	if secs < MinRetryAfterSec {
-		return MinRetryAfterSec
-	}
-	if secs > MaxRetryAfterSec {
-		return MaxRetryAfterSec
-	}
-	return secs
-}
-
-// StateCounts tallies jobs by lifecycle state.
-func (r *Registry) StateCounts() map[autopipe.JobState]int {
-	counts := map[autopipe.JobState]int{
-		autopipe.JobQueued: 0, autopipe.JobRunning: 0, autopipe.JobDone: 0,
-		autopipe.JobFailed: 0, autopipe.JobCancelled: 0,
-	}
-	for _, info := range r.List() {
-		counts[info.Status.State]++
-	}
-	return counts
-}
-
-// SetMinority switches partition-shedding mode. Entering it pauses
-// every running job at its next event boundary (virtual time freezes,
-// so a later resume is bit-identical) and makes Submit refuse with
-// ErrMinority; leaving it resumes the paused jobs with a fresh
-// watchdog grace period. Idempotent and safe from any goroutine. The
-// fleet layer drives this from its quorum evaluation: a node that
-// cannot reach a strict majority of the membership must not issue
-// switches or adopt jobs that the majority side may be re-homing.
-func (r *Registry) SetMinority(v bool) {
-	if r.minority.Swap(v) == v {
-		return
-	}
-	if v {
-		for _, m := range r.allJobs() {
-			if m.job != nil && m.final == nil {
-				m.job.Pause()
-			}
-		}
-		return
-	}
-	now := r.now()
-	for _, m := range r.allJobs() {
-		if m.job == nil || !m.job.Paused() {
-			continue
-		}
-		m.mu.Lock()
-		m.lastProgress = now // fresh grace: the pause was not a stall
-		m.mu.Unlock()
-		m.job.Resume()
-	}
-}
-
-// Minority reports whether the registry is in partition-shedding mode.
-func (r *Registry) Minority() bool { return r.minority.Load() }
-
-// JobFence is one hosted job's ownership epoch, exchanged in the
-// fleet's heal-time anti-entropy digests.
-type JobFence struct {
-	ID    string `json:"id"`
-	Fence uint64 `json:"fence"`
-	Done  bool   `json:"done"`
-}
-
-// HostedFences lists every hosted job's fence epoch in submission
-// order.
-func (r *Registry) HostedFences() []JobFence {
-	r.mu.Lock()
-	order := append([]string(nil), r.order...)
-	r.mu.Unlock()
-	out := make([]JobFence, 0, len(order))
-	for _, id := range order {
-		m, ok := r.lookup(id)
-		if !ok {
-			continue
-		}
-		out = append(out, JobFence{ID: id, Fence: m.fence, Done: jobDone(m)})
-	}
-	return out
-}
-
-// Fence returns a hosted job's ownership epoch.
-func (r *Registry) Fence(id string) (uint64, bool) {
-	m, ok := r.lookup(id)
-	if !ok {
-		return 0, false
-	}
-	return m.fence, true
-}
-
-// jobDone reports whether a job's result is terminal-completed — the
-// one state fencing never overrides: a finished result is preserved
-// over any competing copy regardless of epoch.
-func jobDone(m *managedJob) bool {
-	if m.final != nil {
-		return true
-	}
-	return m.job != nil && m.job.Status().State == autopipe.JobDone
-}
-
-// tombstone reports the fence epoch a job was abandoned at, if any.
-func (r *Registry) tombstone(id string) (uint64, bool) {
-	r.fencedMu.Lock()
-	f, ok := r.fenced[id]
-	r.fencedMu.Unlock()
-	return f, ok
-}
-
-func (r *Registry) clearTombstone(id string) {
-	r.fencedMu.Lock()
-	delete(r.fenced, id)
-	r.fencedMu.Unlock()
-}
-
-// FenceOut abandons this node's copy of a job because another node now
-// owns it at a higher fence epoch — the heal-side half of fenced
-// ownership transfer. The copy is cancelled (rolling back any
-// in-flight plan switch), removed from the registry, its future
-// journal/replication output is suppressed, and the journal is
-// compacted so no post-fence records from the stale owner survive on
-// disk. Returns false when the job is unknown, already at or above the
-// epoch, or terminal-completed (a finished result always wins).
-func (r *Registry) FenceOut(id string, fence uint64) bool {
-	sh := r.shard(id)
-	sh.mu.Lock()
-	m, ok := sh.jobs[id]
-	if !ok || m.fence >= fence || jobDone(m) {
-		sh.mu.Unlock()
-		return false
-	}
-	delete(sh.jobs, id)
-	sh.mu.Unlock()
-
-	// Suppress journal/replication output before aborting the job so a
-	// completion record racing the cancellation cannot slip out.
-	r.fencedMu.Lock()
-	r.fenced[id] = fence
-	r.fencedMu.Unlock()
-
-	r.mu.Lock()
-	for i, oid := range r.order {
-		if oid == id {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-	r.counters.FencedOut++
-	r.mu.Unlock()
-
-	m.mu.Lock()
-	m.detached = true // a still-queued goroutine must not start it
-	m.mu.Unlock()
-	if m.job != nil {
-		m.job.Abort() // cancel + roll back any half-applied switch
-	}
-	r.compactNow()
-	return true
-}
-
-// startWatchdog launches the stuck-job scanner once.
-func (r *Registry) startWatchdog() {
-	if r.opts.WatchdogQuiet <= 0 {
-		return
-	}
-	r.watchOnce.Do(func() {
-		go func() {
-			t := time.NewTicker(r.opts.WatchdogPoll)
-			defer t.Stop()
-			for {
-				select {
-				case <-r.stopWatch:
-					return
-				case <-t.C:
-					r.watchdogScan(r.now())
-				}
-			}
-		}()
-	})
-}
-
-// watchdogScan cancels running jobs whose iteration count has not
-// advanced within the quiet period and marks them failed with the
-// reason. Paused jobs (minority mode) are exempt — frozen virtual time
-// is not a stall. Factored out of the ticker loop for deterministic
-// tests.
-func (r *Registry) watchdogScan(now time.Time) {
-	var kill []*managedJob
-	r.mu.Lock()
-	order := append([]string(nil), r.order...)
-	r.mu.Unlock()
-	for _, id := range order {
-		m, ok := r.lookup(id)
-		if !ok || m.job == nil {
-			continue
-		}
-		if m.job.Paused() {
-			m.mu.Lock()
-			m.lastProgress = now
-			m.mu.Unlock()
-			continue
-		}
-		st := m.job.Status()
-		if st.State != autopipe.JobRunning {
-			continue
-		}
-		m.mu.Lock()
-		if m.overrideReason != "" {
-			m.mu.Unlock()
-			continue
-		}
-		if st.Iteration != m.lastIter || m.lastProgress.IsZero() {
-			m.lastIter = st.Iteration
-			m.lastProgress = now
-			m.mu.Unlock()
-			continue
-		}
-		quiet := now.Sub(m.lastProgress)
-		if quiet < r.opts.WatchdogQuiet {
-			m.mu.Unlock()
-			continue
-		}
-		m.overrideState = autopipe.JobFailed
-		m.overrideReason = fmt.Sprintf("watchdog: no progress for %s (stuck at iteration %d)",
-			quiet.Truncate(time.Millisecond), st.Iteration)
-		m.mu.Unlock()
-		kill = append(kill, m)
-	}
-	if len(kill) > 0 {
-		r.mu.Lock()
-		r.counters.WatchdogKills += int64(len(kill))
-		r.mu.Unlock()
-	}
-	for _, m := range kill {
-		m.job.Cancel()
-	}
-}
-
-// journalAppend marshals and fsyncs one record; failures are counted,
-// not fatal — the registry keeps serving with degraded durability.
-// Callers must not hold r.mu (fsync under the registry lock would stall
-// the whole API). Appenders only share-lock jmu: concurrent jobs reach
-// the journal together and its group commit coalesces their fsyncs;
-// compaction takes the write side to exclude them. The OnRecord hook
-// observes every record, journal or not, so fleet replication works on
-// journal-less registries too. Records at or below a job's fence
-// tombstone are silently discarded: once ownership moved to another
-// node, the stale copy's output must not reach disk or the replication
-// stream.
-func (r *Registry) journalAppend(typ journal.Type, id string, fence uint64, payload any) {
-	if r.opts.Journal == nil && r.opts.OnRecord == nil {
-		return
-	}
-	r.mu.Lock()
-	killed := r.killed
-	r.mu.Unlock()
-	if killed {
-		return
-	}
-	if tomb, gone := r.tombstone(id); gone && fence <= tomb {
-		return
-	}
-	r.jmu.RLock()
-	defer r.jmu.RUnlock()
-	data, err := json.Marshal(payload)
-	if err == nil {
-		rec := journal.Record{Type: typ, JobID: id, Fence: fence, Data: data}
-		if r.opts.Journal != nil {
-			err = r.opts.Journal.Append(rec)
-		}
-		if err == nil && r.opts.OnRecord != nil {
-			r.opts.OnRecord(rec)
-		}
-	}
-	if err != nil {
-		r.mu.Lock()
-		r.counters.JournalErrors++
-		r.mu.Unlock()
-	}
-}
-
-// maybeCompact rewrites the journal down to the live state once history
-// spreads over several segments, or — during steady-state operation —
-// once fewer than CompactLiveRatio of the journaled records are still
-// live (completed jobs and superseded checkpoints dominate the log).
-func (r *Registry) maybeCompact() {
-	if r.opts.Journal == nil {
-		return
-	}
-	r.mu.Lock()
-	killed := r.killed
-	r.mu.Unlock()
-	if killed {
-		return
-	}
-	r.jmu.Lock()
-	defer r.jmu.Unlock()
-	if r.opts.Journal.Segments() < compactAfterSegments && !r.ratioWantsCompaction() {
-		return
-	}
-	if err := r.opts.Journal.Compact(r.liveRecords()); err != nil {
-		r.mu.Lock()
-		r.counters.JournalErrors++
-		r.mu.Unlock()
-	}
-}
-
-// compactNow unconditionally rewrites the journal to the live state —
-// FenceOut uses it to guarantee a fenced job's stale tail is gone the
-// moment ownership transfer is acknowledged, not at the next
-// opportunistic compaction.
-func (r *Registry) compactNow() {
-	if r.opts.Journal == nil {
-		return
-	}
-	r.mu.Lock()
-	killed := r.killed
-	r.mu.Unlock()
-	if killed {
-		return
-	}
-	r.jmu.Lock()
-	defer r.jmu.Unlock()
-	if err := r.opts.Journal.Compact(r.liveRecords()); err != nil {
-		r.mu.Lock()
-		r.counters.JournalErrors++
-		r.mu.Unlock()
-	}
-}
-
-// ratioWantsCompaction implements the steady-state trigger: the journal
-// holds enough records to be worth rewriting and less than the
-// configured fraction of them is still live. Called with jmu held. The
-// live count is estimated from job states (one submission per job, plus
-// state/checkpoint for running and a final record for finished jobs) —
-// exactly what liveRecords emits, without marshalling anything.
-func (r *Registry) ratioWantsCompaction() bool {
-	if r.opts.CompactLiveRatio <= 0 {
-		return false
-	}
-	total := r.opts.Journal.Records()
-	if total < int64(r.opts.CompactMinRecords) {
-		return false
-	}
-	return float64(r.estimateLiveRecords()) < r.opts.CompactLiveRatio*float64(total)
-}
-
-func (r *Registry) estimateLiveRecords() int {
-	r.mu.Lock()
-	order := append([]string(nil), r.order...)
-	r.mu.Unlock()
-	n := 0
-	for _, id := range order {
-		m, ok := r.lookup(id)
-		if !ok {
-			continue
-		}
-		n++ // submitted
-		if m.final != nil {
-			n++
-			continue
-		}
-		switch m.job.Status().State {
-		case autopipe.JobQueued:
-			// The submission record alone re-queues it.
-		case autopipe.JobRunning:
-			n++ // state record
-			if _, ok := m.job.Checkpoint(); ok {
-				n++
-			}
-		default:
-			n++ // completion record
-		}
-	}
-	return n
-}
-
-// liveRecords renders the registry's current state as a compact record
-// stream: one submission per job, plus its latest state, checkpoint or
-// final result. Replaying it is equivalent to replaying the full
-// history.
-func (r *Registry) liveRecords() []journal.Record { return r.exportRecords(nil) }
-
-// ExportRecords renders the live record stream for the given job IDs
-// (every job when none are given): the same compact form compaction
-// writes and Recover/Adopt replay. The fleet layer uses it to
-// full-sync a job's durable state to its ring successor. Every record
-// carries the job's current fence epoch, so receivers can refuse
-// stale-owner streams.
-func (r *Registry) ExportRecords(ids ...string) []journal.Record {
-	var filter map[string]bool
-	if len(ids) > 0 {
-		filter = make(map[string]bool, len(ids))
-		for _, id := range ids {
-			filter[id] = true
-		}
-	}
-	return r.exportRecords(filter)
-}
-
-func (r *Registry) exportRecords(filter map[string]bool) []journal.Record {
-	marshal := func(typ journal.Type, id string, fence uint64, payload any) (journal.Record, bool) {
-		data, err := json.Marshal(payload)
-		if err != nil {
-			return journal.Record{}, false
-		}
-		return journal.Record{Type: typ, JobID: id, Fence: fence, Data: data}, true
-	}
-	r.mu.Lock()
-	order := append([]string(nil), r.order...)
-	r.mu.Unlock()
-	var out []journal.Record
-	for _, id := range order {
-		if filter != nil && !filter[id] {
-			continue
-		}
-		m, ok := r.lookup(id)
-		if !ok {
-			continue
-		}
-		if rec, ok := marshal(journal.TypeSubmitted, id, m.fence, submittedRec{ID: id, Created: m.created, Spec: m.spec}); ok {
-			out = append(out, rec)
-		}
-		if m.final != nil {
-			if rec, ok := marshal(journal.TypeCompleted, id, m.fence, completedRec{ID: id, Info: *m.final}); ok {
-				out = append(out, rec)
-			}
-			continue
-		}
-		st := m.job.Status()
-		switch st.State {
-		case autopipe.JobQueued:
-			// The submission record alone re-queues it.
-		case autopipe.JobRunning:
-			if rec, ok := marshal(journal.TypeState, id, m.fence, stateRec{ID: id, State: autopipe.JobRunning}); ok {
-				out = append(out, rec)
-			}
-			if cp, ok := m.job.Checkpoint(); ok {
-				if rec, ok := marshal(journal.TypeCheckpoint, id, m.fence, checkpointRec{ID: id, Checkpoint: cp}); ok {
-					out = append(out, rec)
-				}
-			}
-		default:
-			// Finished but its completion record hasn't been written
-			// yet (run() is about to): snapshot what we have.
-			info := JobInfo{ID: id, Created: m.created, Spec: m.spec, Fence: m.fence, Status: st}
-			if res, err := m.job.Result(); err == nil {
-				info.Result = &res
-			}
-			if rec, ok := marshal(journal.TypeCompleted, id, m.fence, completedRec{ID: id, Info: info}); ok {
-				out = append(out, rec)
-			}
-		}
-	}
-	return out
-}
-
-// RecoveryStats reports what Recover rebuilt.
-type RecoveryStats struct {
-	Requeued  int // jobs that were queued: re-queued from their spec
-	Resumed   int // running jobs resumed from their last checkpoint
-	Restarted int // running jobs without a checkpoint: restarted
-	Completed int // finished jobs restored read-only
-	Skipped   int // undecodable, orphaned or fence-rejected journal entries
-}
-
-// replayJob is one job's state accumulated from a record stream.
-type replayJob struct {
-	sub     *submittedRec
-	running bool
-	cp      *autopipe.Checkpoint
-	final   *JobInfo
-	fence   uint64 // highest fence seen across the job's records
-}
-
-// parseReplay folds a record stream into per-job replay state,
-// preserving first-seen order. Undecodable records are counted, not
-// fatal.
-func parseReplay(recs []journal.Record) (map[string]*replayJob, []string, int) {
-	byID := map[string]*replayJob{}
-	var order []string
-	skipped := 0
-	get := func(id string, fence uint64) *replayJob {
-		p, ok := byID[id]
-		if !ok {
-			p = &replayJob{}
-			byID[id] = p
-			order = append(order, id)
-		}
-		if fence > p.fence {
-			p.fence = fence
-		}
-		return p
-	}
-	for _, rec := range recs {
-		switch rec.Type {
-		case journal.TypeSubmitted:
-			var sub submittedRec
-			if json.Unmarshal(rec.Data, &sub) != nil || sub.ID == "" {
-				skipped++
-				continue
-			}
-			get(sub.ID, rec.Fence).sub = &sub
-		case journal.TypeState:
-			var st stateRec
-			if json.Unmarshal(rec.Data, &st) != nil || st.ID == "" {
-				skipped++
-				continue
-			}
-			get(st.ID, rec.Fence).running = st.State == autopipe.JobRunning
-		case journal.TypeCheckpoint:
-			var cp checkpointRec
-			if json.Unmarshal(rec.Data, &cp) != nil || cp.ID == "" {
-				skipped++
-				continue
-			}
-			get(cp.ID, rec.Fence).cp = &cp.Checkpoint
-		case journal.TypeCompleted:
-			var done completedRec
-			if json.Unmarshal(rec.Data, &done) != nil || done.ID == "" {
-				skipped++
-				continue
-			}
-			info := done.Info
-			get(done.ID, rec.Fence).final = &info
-		default:
-			skipped++
-		}
-	}
-	return byID, order, skipped
-}
-
-// buildReplayed turns one job's replay state into a managedJob at the
-// given fence epoch, updating stats. It returns nil (after counting
-// the skip) when the job cannot be rebuilt. Finished jobs come back
-// with final set; live jobs carry a ready-to-run *autopipe.Job.
-func (r *Registry) buildReplayed(id string, p *replayJob, fence uint64, stats *RecoveryStats) *managedJob {
-	m := &managedJob{id: id, created: p.sub.Created, spec: p.sub.Spec, fence: fence}
-	if p.final != nil {
-		m.final = p.final
-		stats.Completed++
-		return m
-	}
-	spec := p.sub.Spec
-	if p.running {
-		// A KillDaemon or Partition event from this spec already fired —
-		// that is how we got here. Re-arming it would crash-loop the
-		// daemon (or re-partition each successive adopter).
-		spec = stripControlPlaneChaos(spec)
-	}
-	cfg, batches, err := spec.build()
-	if err != nil {
-		stats.Skipped++
-		return nil
-	}
-	m.batches = batches
-	r.prepare(&cfg, m)
-	var j *autopipe.Job
-	if p.running && p.cp != nil {
-		if j, err = autopipe.NewJobFromCheckpoint(cfg, batches, *p.cp); err == nil {
-			stats.Resumed++
-		}
-	}
-	if j == nil {
-		if j, err = autopipe.NewJob(cfg, batches); err != nil {
-			stats.Skipped++
-			return nil
-		}
-		if p.running {
-			stats.Restarted++
-		} else {
-			stats.Requeued++
-		}
-	}
-	m.job = j
-	return m
-}
-
-// Recover rebuilds the registry from a journal replay (the records
-// returned by journal.Open). It must be called once, before the
-// registry serves traffic. Queued jobs are re-queued, running jobs are
-// resumed from their last checkpoint (restarted from scratch if none
-// was taken), finished jobs are restored read-only, and the journal is
-// compacted to the rebuilt state. Consumed chaos KillDaemon events are
-// stripped from resumed jobs — the crash they caused already happened.
-// Each job keeps the highest fence its records carried, so a recovered
-// node re-enters the fleet at its pre-crash ownership epoch.
-func (r *Registry) Recover(recs []journal.Record) (RecoveryStats, error) {
-	byID, order, skipped := parseReplay(recs)
-	stats := RecoveryStats{Skipped: skipped}
-
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return stats, ErrClosed
-	}
-	if len(r.order) > 0 {
-		r.mu.Unlock()
-		return stats, fmt.Errorf("server: Recover on a registry that already has jobs")
-	}
-	r.mu.Unlock()
-
-	var maxSeq int
-	for _, id := range order {
-		p := byID[id]
-		if p.sub == nil {
-			stats.Skipped++ // orphaned records: submission was compacted away or torn off
-			continue
-		}
-		var seq int
-		if _, err := fmt.Sscanf(id, "job-%d", &seq); err == nil && seq > maxSeq {
-			maxSeq = seq
-		}
-		fence := p.fence
-		if fence == 0 {
-			fence = 1 // pre-fence journals: treat as first-epoch owners
-		}
-		m := r.buildReplayed(id, p, fence, &stats)
-		if m == nil {
-			continue
-		}
-		r.register(m, m.final == nil)
-	}
-	r.mu.Lock()
-	if maxSeq > r.seq {
-		r.seq = maxSeq
-	}
-	r.mu.Unlock()
-	r.startWatchdog()
-	r.updateRecoveryCounters(stats)
-	// Rewrite the journal down to the recovered state: replaying the
-	// old history again after the next crash would be wrong (it
-	// contains pre-crash state records) and compaction also repairs the
-	// truncated-tail bookkeeping.
-	if r.opts.Journal != nil {
-		r.jmu.Lock()
-		if err := r.opts.Journal.Compact(r.liveRecords()); err != nil {
-			r.mu.Lock()
-			r.counters.JournalErrors++
-			r.mu.Unlock()
-		}
-		r.jmu.Unlock()
-	}
-	return stats, nil
-}
-
-// Adopt merges a dead peer's replicated record stream into a LIVE
-// registry — the fleet failover path. Unlike Recover it may run at any
-// time and re-journals the adopted state locally so it is durable on
-// this node and flows onward to the job's next ring successor through
-// the OnRecord stream. Running jobs resume from their replicated
-// checkpoint with the same deterministic contract Recover provides;
-// finished jobs are restored read-only so their results stay visible
-// after the owner is gone.
-//
-// Adoption is fenced: each adopted job's epoch becomes one above the
-// highest fence in the incoming stream, so the old owner's copy — and
-// any replica of it — is permanently superseded. Streams whose fence
-// does not beat a locally hosted copy (or this node's tombstone from a
-// previous fence-out) are refused and counted in FenceRejected; an
-// incoming stream that DOES beat a locally hosted live copy fences the
-// local copy out first, which is how a healed ex-owner converges after
-// the majority side re-homed its jobs. Terminal-completed local
-// results are never displaced.
-func (r *Registry) Adopt(recs []journal.Record) (RecoveryStats, error) {
-	byID, order, skipped := parseReplay(recs)
-	stats := RecoveryStats{Skipped: skipped}
-	for _, id := range order {
-		p := byID[id]
-		if p.sub == nil {
-			stats.Skipped++
-			continue
-		}
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			return stats, ErrClosed
-		}
-		r.mu.Unlock()
-		incoming := p.fence
-		if incoming == 0 {
-			incoming = 1 // pre-fence streams count as first-epoch
-		}
-		if local, ok := r.lookup(id); ok {
-			if incoming <= local.fence || jobDone(local) {
-				// Our copy is at the same or newer epoch (or already
-				// finished): the stream is stale.
-				r.noteFenceRejected()
-				stats.Skipped++
-				continue
-			}
-			if !r.FenceOut(id, incoming) {
-				stats.Skipped++
-				continue
-			}
-		} else if tomb, gone := r.tombstone(id); gone && incoming <= tomb {
-			// We already ceded this job at that epoch; re-adopting the
-			// loser's replica would ping-pong ownership.
-			r.noteFenceRejected()
-			stats.Skipped++
-			continue
-		}
-		newFence := incoming + 1
-		m := r.buildReplayed(id, p, newFence, &stats)
-		if m == nil {
-			continue
-		}
-		r.clearTombstone(id)
-		r.register(m, m.final == nil)
-		// Durably re-home the job: its spec, progress and result now
-		// live in THIS node's journal and replication stream, stamped
-		// with the new ownership epoch.
-		r.journalAppend(journal.TypeSubmitted, id, newFence, submittedRec{ID: id, Created: m.created, Spec: m.spec})
-		switch {
-		case m.final != nil:
-			r.journalAppend(journal.TypeCompleted, id, newFence, completedRec{ID: id, Info: *m.final})
-		case p.running && p.cp != nil:
-			r.journalAppend(journal.TypeState, id, newFence, stateRec{ID: id, State: autopipe.JobRunning})
-			r.journalAppend(journal.TypeCheckpoint, id, newFence, checkpointRec{ID: id, Checkpoint: *p.cp})
-		}
-	}
-	r.startWatchdog()
-	r.updateRecoveryCounters(stats)
-	r.maybeCompact()
-	return stats, nil
-}
-
-func (r *Registry) noteFenceRejected() {
-	r.mu.Lock()
-	r.counters.FenceRejected++
-	r.mu.Unlock()
-}
-
-// QueuedJob is a not-yet-started job yanked out of the registry by
-// DetachQueued for handoff to a fleet peer.
-type QueuedJob struct {
-	ID   string
-	Spec JobSpec
-}
-
-// DetachQueued atomically removes every job that is still waiting for
-// a pool slot and returns the specs, so a draining fleet node can hand
-// them to peers instead of refusing them. Jobs that have already
-// claimed a slot (even if shutdown will refuse them) are left alone.
-// The detached jobs' pending goroutines exit without running anything.
-func (r *Registry) DetachQueued() []QueuedJob {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []QueuedJob
-	kept := r.order[:0]
-	for _, id := range r.order {
-		sh := r.shard(id)
-		sh.mu.Lock()
-		m, ok := sh.jobs[id]
-		if !ok {
-			sh.mu.Unlock()
-			continue
-		}
-		detachable := m.job != nil && m.final == nil
-		if detachable {
-			m.mu.Lock()
-			detachable = !m.poolStarted && !m.detached && m.overrideReason == ""
-			if detachable {
-				m.detached = true
-			}
-			m.mu.Unlock()
-		}
-		if !detachable {
-			sh.mu.Unlock()
-			kept = append(kept, id)
-			continue
-		}
-		delete(sh.jobs, id)
-		sh.mu.Unlock()
-		out = append(out, QueuedJob{ID: id, Spec: m.spec})
-	}
-	r.order = kept
-	return out
-}
-
-// register installs a recovered job; live jobs also get a pool slot.
-func (r *Registry) register(m *managedJob, live bool) {
-	r.mu.Lock()
-	sh := r.shard(m.id)
-	sh.mu.Lock()
-	sh.jobs[m.id] = m
-	sh.mu.Unlock()
-	r.order = append(r.order, m.id)
-	if live {
-		r.queued++
-		r.wg.Add(1)
-	}
-	r.mu.Unlock()
-	if live {
-		go r.run(m)
-	}
-}
-
-func (r *Registry) updateRecoveryCounters(stats RecoveryStats) {
-	r.mu.Lock()
-	r.counters.RecoveredRequeued += int64(stats.Requeued)
-	r.counters.RecoveredResumed += int64(stats.Resumed)
-	r.counters.RecoveredRestarted += int64(stats.Restarted)
-	r.counters.RecoveredCompleted += int64(stats.Completed)
-	r.mu.Unlock()
-}
-
-// stripControlPlaneChaos removes consumed control-plane chaos events
-// (daemon crashes, fleet partitions) from a spec being resumed. The
-// simulated-fabric kinds are kept: they replay deterministically inside
-// the fresh engine without touching the daemon hosting it.
-func stripControlPlaneChaos(spec JobSpec) JobSpec {
-	if len(spec.Chaos) == 0 {
-		return spec
-	}
-	kept := make([]ChaosEventSpec, 0, len(spec.Chaos))
-	for _, ev := range spec.Chaos {
-		if ev.Kind != chaosKindKillDaemon && ev.Kind != chaosKindPartition {
-			kept = append(kept, ev)
-		}
-	}
-	spec.Chaos = kept
-	return spec
-}
-
-// Kill simulates an abrupt daemon death — the in-process equivalent of
-// SIGKILL used by the fleet chaos tests. The registry stops accepting
-// work, every hosted job's context is cancelled, and, unlike Shutdown,
-// nothing further is journaled or streamed to OnRecord: from the
-// outside the node's durable state freezes exactly where the "crash"
-// caught it. Kill does not wait for job goroutines to unwind.
-func (r *Registry) Kill() {
-	r.mu.Lock()
-	if r.killed {
-		r.mu.Unlock()
-		return
-	}
-	r.killed = true
-	already := r.closed
-	r.closed = true
-	r.mu.Unlock()
-	if !already {
-		r.watchOnce.Do(func() {}) // ensure no late watchdog start
-		close(r.stopWatch)
-	}
-	for _, m := range r.allJobs() {
-		if m.job != nil {
-			m.job.Cancel()
-		}
-	}
-}
-
-// Shutdown drains the registry: new submissions are refused, queued
-// jobs that reach the pool are refused with ErrClosed, and running jobs
-// are given until ctx expires to finish naturally, after which
-// everything still alive is cancelled. It always waits for every job
-// goroutine to exit and stops the watchdog; the returned error is ctx's
-// if the deadline forced cancellation.
-func (r *Registry) Shutdown(ctx context.Context) error {
-	r.mu.Lock()
-	alreadyClosed := r.closed
-	r.closed = true
-	r.mu.Unlock()
-	if !alreadyClosed {
-		r.watchOnce.Do(func() {}) // ensure no late watchdog start
-		close(r.stopWatch)
-	}
-
-	done := make(chan struct{})
-	go func() {
-		r.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-	}
-	for _, m := range r.allJobs() {
-		if m.job != nil {
-			m.job.Cancel()
-		}
-	}
-	<-done // cancellation is honoured between events, so this is prompt
-	return ctx.Err()
 }

@@ -69,7 +69,7 @@ func DecodeSubmit(w http.ResponseWriter, req *http.Request, v any) error {
 // WriteSubmitError answers a submission reg refused with err.
 func WriteSubmitError(w http.ResponseWriter, reg *Registry, err error) {
 	switch {
-	case errors.Is(err, ErrClosed):
+	case errors.Is(err, ErrClosed), errors.Is(err, ErrNotDurable):
 		WriteError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, ErrMinority):
 		// Minority partition: this node cannot safely accept work until
