@@ -206,3 +206,47 @@ func TestFacadeHybridPredictorJob(t *testing.T) {
 		t.Fatalf("batches = %d", res.Batches)
 	}
 }
+
+// TestPaperSpecsPinned pins four paper-catalogue jobs — ResNet50, VGG16,
+// BERT48 and AlexNet on the 25G testbed under Ring and PS with churn —
+// to the throughput, final plan and decision count the map-based
+// fair-share solver produced, so the network simulator's rewrites stay
+// bit-identical end to end.
+func TestPaperSpecsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		model      string
+		scheme     SyncScheme
+		churn      int64
+		batches    int
+		throughput float64
+		plan       string
+		decisions  int
+	}{
+		{"ResNet50", RingAllReduce, 1, 50, 1335.1570170047357,
+			"[0:6)@[0] [6:21)@[1 2 3] [21:30)@[4 5] [30:35)@[6] [35:40)@[7] [40:45)@[8] [45:52)@[9] |13", 10},
+		{"VGG16", ParameterServer, 2, 100, 276.86182058418683,
+			"[0:6)@[0 1 2] [6:10)@[3 4 5] [10:13)@[6 7 8] [13:21)@[9] |13", 20},
+		{"BERT48", RingAllReduce, 3, 100, 48.11338177872823,
+			"[0:11)@[0] [11:21)@[1] [21:31)@[2] [31:41)@[3] [41:51)@[4] [51:61)@[5] [61:71)@[6] [71:81)@[7] [81:91)@[8] [91:98)@[9] |10", 20},
+		{"AlexNet", ParameterServer, 4, 50, 5393.994875075728,
+			"[0:4)@[0 1 2 3] [4:7)@[4 5 6 7 8] [7:11)@[9] |13", 10},
+	} {
+		m, err := ModelByName(tc.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl := Testbed(Gbps(25))
+		res, err := RunJob(context.Background(), JobConfig{
+			Model: m, Cluster: cl, Workers: Workers(cl.NumGPUs()),
+			Scheme: tc.scheme, Dynamics: ChurnTrace(tc.churn, 60),
+		}, tc.batches)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Throughput != tc.throughput || res.FinalPlan.String() != tc.plan || res.Controller.Decisions != tc.decisions {
+			t.Errorf("%s/%v/churn %d: throughput %v, plan %q, %d decisions; want %v, %q, %d",
+				tc.model, tc.scheme, tc.churn, res.Throughput, res.FinalPlan.String(), res.Controller.Decisions,
+				tc.throughput, tc.plan, tc.decisions)
+		}
+	}
+}

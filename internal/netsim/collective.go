@@ -1,6 +1,9 @@
 package netsim
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // SyncScheme selects the parameter-synchronisation pattern used by the
 // data-parallel replicas of a pipeline stage (paper §5.1: "two common
@@ -63,6 +66,7 @@ func (n *Network) Sync(scheme SyncScheme, workers []int, bytes int64, name strin
 // own copy moves for free.
 func (n *Network) psSync(workers []int, bytes int64, name string, done func()) {
 	ps := workers[0]
+	pushName, pullName := name+"/push", name+"/pull"
 	pushRemaining := 0
 	startPull := func() {
 		pullRemaining := 0
@@ -82,7 +86,7 @@ func (n *Network) psSync(workers []int, bytes int64, name string, done func()) {
 			if w == ps {
 				continue
 			}
-			n.StartFlow(ps, w, bytes, name+"/pull", func() {
+			n.StartFlow(ps, w, bytes, pullName, func() {
 				pullRemaining--
 				if pullRemaining == 0 && done != nil {
 					done()
@@ -104,7 +108,7 @@ func (n *Network) psSync(workers []int, bytes int64, name string, done func()) {
 		if w == ps {
 			continue
 		}
-		n.StartFlow(w, ps, bytes, name+"/push", func() {
+		n.StartFlow(w, ps, bytes, pushName, func() {
 			pushRemaining--
 			if pushRemaining == 0 {
 				startPull()
@@ -133,15 +137,17 @@ func (n *Network) ringAllReduce(workers []int, bytes int64, name string, done fu
 			}
 			return
 		}
+		// One name and one barrier callback serve the step's N flows.
 		remaining := N
+		stepName := name + "/ring-step" + strconv.Itoa(step)
+		stepDone := func() {
+			remaining--
+			if remaining == 0 {
+				runStep(step + 1)
+			}
+		}
 		for i, w := range workers {
-			next := workers[(i+1)%N]
-			n.StartFlow(w, next, chunk, fmt.Sprintf("%s/ring-step%d", name, step), func() {
-				remaining--
-				if remaining == 0 {
-					runStep(step + 1)
-				}
-			})
+			n.StartFlow(w, workers[(i+1)%N], chunk, stepName, stepDone)
 		}
 	}
 	runStep(0)

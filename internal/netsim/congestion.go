@@ -76,7 +76,7 @@ func (n *Network) record(f *Flow) FlowRecord {
 		Bits:       f.origBits,
 		Start:      f.requested,
 		End:        n.eng.Now(),
-		Hops:       len(f.links),
+		Hops:       int(f.path.n),
 		Background: f.background,
 	}
 }
@@ -122,13 +122,15 @@ func (c *QueueConfig) defaults() {
 // contenders, real senders' in-flight windows overfill the bottleneck
 // buffer and every new transfer waits behind it. Delay builds while the
 // link is saturated, bounded by the buffer depth, and drains once load
-// falls off.
+// falls off. State is indexed by dense link id, like the allocator's.
 type queueModel struct {
 	cfg QueueConfig
 	// load is the last fair-share epoch's per-link (utilization, flow
-	// count); delay the accumulated standing-queue delay in seconds.
-	load  map[linkID]queueLoad
-	delay map[linkID]float64
+	// count), set for the links in loaded and zero elsewhere; delay the
+	// accumulated standing-queue delay in seconds.
+	load   []queueLoad
+	loaded []int32
+	delay  []float64
 }
 
 type queueLoad struct {
@@ -145,8 +147,8 @@ func (n *Network) EnableQueueing(cfg QueueConfig) {
 	cfg.defaults()
 	n.queue = &queueModel{
 		cfg:   cfg,
-		load:  make(map[linkID]queueLoad),
-		delay: make(map[linkID]float64),
+		load:  make([]queueLoad, n.numLinks()),
+		delay: make([]float64, n.numLinks()),
 	}
 }
 
@@ -156,53 +158,48 @@ func (n *Network) QueueDelaySec(src, dst int) float64 {
 	if n.queue == nil {
 		return 0
 	}
-	return n.routeQueueDelay(src, dst)
+	p := n.route(src, dst)
+	return n.queue.routeDelay(&p)
 }
 
-func (n *Network) routeQueueDelay(src, dst int) float64 {
+// routeDelay sums the queueing delay along a path.
+func (q *queueModel) routeDelay(p *path) float64 {
 	total := 0.0
-	for _, l := range n.route(src, dst) {
-		total += n.queue.delay[l]
+	for _, l := range p.links() {
+		total += q.delay[l]
 	}
 	return total
 }
 
-// beginEpoch resets the load map ahead of a fair-share recompute; links
-// with no active flows simply stay absent and drain.
+// beginEpoch clears the previous epoch's loads ahead of a fair-share
+// recompute; links with no active flows simply stay idle and drain.
 func (q *queueModel) beginEpoch() {
-	for l := range q.load {
-		delete(q.load, l)
+	for _, l := range q.loaded {
+		q.load[l] = queueLoad{}
 	}
+	q.loaded = q.loaded[:0]
 }
 
 // observeLoad records one link's post-allocation state for the epoch.
-func (q *queueModel) observeLoad(l linkID, util float64, count int) {
+func (q *queueModel) observeLoad(l int32, util float64, count int) {
 	q.load[l] = queueLoad{util: util, count: count}
+	q.loaded = append(q.loaded, l)
 }
 
-// advance evolves every link's queue by dt seconds of the current epoch.
+// advance evolves every link's queue by dt seconds of the current epoch:
+// saturated links with several contenders build delay up to the bound,
+// the rest drain towards zero.
 func (q *queueModel) advance(dt float64) {
 	for l, d := range q.delay {
 		ld := q.load[l]
 		if ld.util >= q.cfg.SaturationUtil && ld.count >= 2 {
-			continue // handled below; avoid double visiting
-		}
-		d -= q.cfg.DrainPerSec * dt
-		if d <= 0 {
-			delete(q.delay, l)
+			d += q.cfg.BuildPerContenderSec * float64(ld.count-1) * dt
+			q.delay[l] = min(d, q.cfg.MaxDelaySec)
 			continue
 		}
-		q.delay[l] = d
-	}
-	for l, ld := range q.load {
-		if ld.util < q.cfg.SaturationUtil || ld.count < 2 {
-			continue
+		if d != 0 {
+			q.delay[l] = max(d-q.cfg.DrainPerSec*dt, 0)
 		}
-		d := q.delay[l] + q.cfg.BuildPerContenderSec*float64(ld.count-1)*dt
-		if d > q.cfg.MaxDelaySec {
-			d = q.cfg.MaxDelaySec
-		}
-		q.delay[l] = d
 	}
 }
 

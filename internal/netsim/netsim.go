@@ -12,9 +12,8 @@
 package netsim
 
 import (
-	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"autopipe/internal/cluster"
@@ -35,7 +34,7 @@ type Flow struct {
 	remaining float64
 	origBits  float64
 	rate      float64 // bits/sec, assigned by the fair-share computation
-	links     []linkID
+	path      path
 	done      func()
 	started   sim.Time
 	// requested is when the caller asked for the transfer — before any
@@ -59,35 +58,23 @@ func (f *Flow) Remaining() float64 { return f.remaining }
 // Rate returns the flow's current bits/sec share.
 func (f *Flow) Rate() float64 { return f.rate }
 
-type linkKind uint8
-
-const (
-	linkUp linkKind = iota
-	linkDown
-	linkIntra
-	linkRackUp
-	linkRackDown
-)
-
-type linkID struct {
-	kind linkKind
-	// server for NIC/intra links, rack for rack-uplink links.
-	server int
+// path is a route as dense link indices, stored inline: at most four
+// hops (NIC up, NIC down and, across racks, the two rack core links).
+type path struct {
+	ids [4]int32
+	n   int32
 }
 
-func (l linkID) String() string {
-	switch l.kind {
-	case linkUp:
-		return fmt.Sprintf("up:%d", l.server)
-	case linkDown:
-		return fmt.Sprintf("down:%d", l.server)
-	case linkRackUp:
-		return fmt.Sprintf("rackup:%d", l.server)
-	case linkRackDown:
-		return fmt.Sprintf("rackdown:%d", l.server)
-	default:
-		return fmt.Sprintf("intra:%d", l.server)
-	}
+// links returns the path's link indices.
+func (p *path) links() []int32 { return p.ids[:p.n] }
+
+// linkState is one link's progressive-filling state during a recompute.
+type linkState struct {
+	cap      float64
+	frozen   float64 // load of frozen flows
+	unfrozen float64 // total weight of unfrozen flows
+	count    int     // active flows traversing the link; 0 = untouched
+	live     int     // unfrozen flows traversing the link
 }
 
 // Network simulates all flows of the measured job over the cluster.
@@ -95,10 +82,24 @@ type Network struct {
 	eng *sim.Engine
 	cl  *cluster.Cluster
 
-	flows      map[uint64]*Flow
+	// flows holds the active flows in ID order (IDs only grow, so
+	// injection appends).
+	flows      []*Flow
 	nextID     uint64
 	lastUpdate sim.Time
-	completion *sim.Event
+	// completion is the next-flow-completion event, re-armed by every
+	// reschedule; onCompletion is its callback, bound once.
+	completion   *sim.Event
+	onCompletion func()
+
+	// Fair-share scratch reused by every recompute: per-link state
+	// indexed by link id, the links the current flows touch (in first-
+	// touch order), the flows still unfrozen, and reschedule's finished
+	// flows.
+	links    []linkState
+	touched  []int32
+	unfrozen []*Flow
+	finished []*Flow
 
 	// TotalBitsDelivered accumulates finished-flow volume (telemetry).
 	TotalBitsDelivered float64
@@ -176,7 +177,8 @@ func (n *Network) EstimateSeconds(src, dst int, bytes int64) float64 {
 		return float64(bytes*8) / (n.cl.IntraServerBwBps * 4)
 	}
 	min := math.Inf(1)
-	for _, l := range n.route(src, dst) {
+	p := n.route(src, dst)
+	for _, l := range p.links() {
 		if c := n.capacity(l); c < min {
 			min = c
 		}
@@ -189,18 +191,33 @@ func (n *Network) EstimateSeconds(src, dst int, bytes int64) float64 {
 
 // New creates a network bound to an engine and a cluster.
 func New(eng *sim.Engine, cl *cluster.Cluster) *Network {
-	return &Network{eng: eng, cl: cl, flows: make(map[uint64]*Flow)}
+	n := &Network{eng: eng, cl: cl}
+	n.onCompletion = func() {
+		n.advance()
+		n.reschedule()
+	}
+	return n
+}
+
+// numLinks is the size of the dense link index space. Links are
+// numbered densely so the allocator keeps per-link state in slices.
+// With S servers and R racks: [0,S) are NIC uplinks, [S,2S) NIC
+// downlinks, [2S,3S) intra-server paths, [3S,3S+R) rack core uplinks
+// and [3S+R,3S+2R) rack core downlinks.
+func (n *Network) numLinks() int {
+	return 3*len(n.cl.Servers) + 2*max(n.cl.Racks, 0)
 }
 
 // capacity returns the current capacity of a link in bits/sec.
-func (n *Network) capacity(l linkID) float64 {
-	switch l.kind {
-	case linkIntra:
+func (n *Network) capacity(l int32) float64 {
+	s := int32(len(n.cl.Servers))
+	switch {
+	case l < 2*s:
+		return n.cl.Servers[l%s].AvailBwBps()
+	case l < 3*s:
 		return n.cl.IntraServerBwBps
-	case linkRackUp, linkRackDown:
-		return n.cl.RackUplinkBps
 	default:
-		return n.cl.Servers[l.server].AvailBwBps()
+		return n.cl.RackUplinkBps
 	}
 }
 
@@ -208,40 +225,31 @@ func (n *Network) capacity(l linkID) float64 {
 // path, or source uplink + destination downlink, plus — in the two-tier
 // topology — the rack core uplinks when the endpoints sit under
 // different leaf switches.
-func (n *Network) route(src, dst int) []linkID {
+func (n *Network) route(src, dst int) path {
 	if src == dst {
-		return nil
+		return path{}
 	}
+	s := int32(len(n.cl.Servers))
 	sa, sb := n.cl.GPUs[src].Server, n.cl.GPUs[dst].Server
 	if sa == sb {
-		return []linkID{{kind: linkIntra, server: sa}}
+		return path{ids: [4]int32{2*s + int32(sa)}, n: 1}
 	}
-	out := []linkID{{kind: linkUp, server: sa}, {kind: linkDown, server: sb}}
+	p := path{ids: [4]int32{int32(sa), s + int32(sb)}, n: 2}
 	if n.cl.Racks > 1 {
 		ra, rb := n.cl.Servers[sa].Rack, n.cl.Servers[sb].Rack
 		if ra != rb {
-			out = append(out,
-				linkID{kind: linkRackUp, server: ra},
-				linkID{kind: linkRackDown, server: rb})
+			r := int32(n.cl.Racks)
+			p.ids[2], p.ids[3], p.n = 3*s+int32(ra), 3*s+r+int32(rb), 4
 		}
 	}
-	return out
+	return p
 }
 
 // StartFlow begins transferring bytes from src to dst and invokes done
 // (may be nil) when the last bit arrives. Zero-byte and same-worker flows
 // complete after a negligible local-copy delay.
 func (n *Network) StartFlow(src, dst int, bytes int64, name string, done func()) *Flow {
-	if bytes <= 0 || src == dst {
-		latency := sim.Time(float64(bytes*8) / (n.cl.IntraServerBwBps * 4))
-		n.eng.After(latency, name+"/local", func() {
-			if done != nil {
-				done()
-			}
-		})
-		return nil
-	}
-	return n.StartWeightedFlow(src, dst, bytes, 1, name, done)
+	return n.startFlow(src, dst, bytes, 1, name, false, done)
 }
 
 // StartWeightedFlow is StartFlow with an explicit share weight: on a
@@ -269,24 +277,22 @@ func (n *Network) startFlow(src, dst int, bytes int64, weight float64, name stri
 		weight = 1
 	}
 	requested := n.eng.Now()
-	wait := 0.0
-	if hops := len(n.route(src, dst)); hops > 0 {
-		wait = n.PerHopLatencySec * float64(hops)
-	}
+	p := n.route(src, dst)
+	wait := n.PerHopLatencySec * float64(p.n)
 	if n.queue != nil {
-		wait += n.routeQueueDelay(src, dst)
+		wait += n.queue.routeDelay(&p)
 	}
 	if wait > 0 {
 		n.eng.After(sim.Time(wait), name+"/prop", func() {
-			n.injectFlow(src, dst, bytes, weight, name, requested, background, done)
+			n.injectFlow(src, dst, p, bytes, weight, name, requested, background, done)
 		})
 		return nil
 	}
-	return n.injectFlow(src, dst, bytes, weight, name, requested, background, done)
+	return n.injectFlow(src, dst, p, bytes, weight, name, requested, background, done)
 }
 
 // injectFlow registers the flow with the fair-share allocator.
-func (n *Network) injectFlow(src, dst int, bytes int64, weight float64, name string, requested sim.Time, background bool, done func()) *Flow {
+func (n *Network) injectFlow(src, dst int, p path, bytes int64, weight float64, name string, requested sim.Time, background bool, done func()) *Flow {
 	var fault FlowFault
 	if n.fault != nil {
 		fault = n.fault(src, dst, name)
@@ -303,7 +309,7 @@ func (n *Network) injectFlow(src, dst int, bytes int64, weight float64, name str
 		Weight:     weight,
 		remaining:  float64(bytes * 8),
 		origBits:   float64(bytes * 8),
-		links:      n.route(src, dst),
+		path:       p,
 		done:       done,
 		started:    n.eng.Now(),
 		requested:  requested,
@@ -311,7 +317,7 @@ func (n *Network) injectFlow(src, dst int, bytes int64, weight float64, name str
 		stalled:    fault == FaultStall,
 	}
 	n.nextID++
-	n.flows[f.ID] = f
+	n.flows = append(n.flows, f)
 	n.reschedule()
 	return f
 }
@@ -321,11 +327,12 @@ func (n *Network) CancelFlow(f *Flow) {
 	if f == nil {
 		return
 	}
-	if _, ok := n.flows[f.ID]; !ok {
+	i := slices.Index(n.flows, f)
+	if i < 0 {
 		return
 	}
 	n.advance()
-	delete(n.flows, f.ID)
+	n.flows = slices.Delete(n.flows, i, i+1)
 	n.reschedule()
 }
 
@@ -362,34 +369,34 @@ func (n *Network) advance() {
 // reschedule recomputes max-min fair rates and schedules the next flow
 // completion.
 func (n *Network) reschedule() {
-	if n.completion != nil {
-		n.eng.Cancel(n.completion)
-		n.completion = nil
-	}
+	n.eng.Cancel(n.completion)
 	// Finish flows that have already drained (possibly several at once).
 	// The threshold is one bit, widened by the time-ULP horizon: once a
 	// flow's residual would complete within the float64 resolution of
 	// the current clock, advancing time cannot drain it (dt rounds to
 	// zero), so treat it as done to avoid a zero-progress event loop.
 	now := float64(n.eng.Now())
-	var finished []*Flow
+	finished := n.finished[:0]
+	active := n.flows[:0]
 	for _, f := range n.flows {
-		if f.stalled {
-			continue
-		}
 		thresh := 1.0
 		if ulp := f.rate * now * 1e-15; ulp > thresh {
 			thresh = ulp
 		}
-		if f.remaining <= thresh {
+		if !f.stalled && f.remaining <= thresh {
 			finished = append(finished, f)
+		} else {
+			active = append(active, f)
 		}
 	}
 	if len(finished) > 0 {
+		clear(n.flows[len(active):])
+		n.flows = active
+		// Callbacks may start flows and so re-enter reschedule: they
+		// must not reuse this buffer while it is being walked.
+		n.finished = nil
 		// Deterministic callback order: by flow ID.
-		sort.Slice(finished, func(i, j int) bool { return finished[i].ID < finished[j].ID })
 		for _, f := range finished {
-			delete(n.flows, f.ID)
 			n.TotalBitsDelivered += f.origBits
 		}
 		// Observers see every completion before any completion callback
@@ -408,6 +415,8 @@ func (n *Network) reschedule() {
 				f.done()
 			}
 		}
+		clear(finished)
+		n.finished = finished[:0]
 		// Callbacks may have started new flows; recompute afresh.
 		n.reschedule()
 		return
@@ -430,51 +439,55 @@ func (n *Network) reschedule() {
 	if math.IsInf(soonest, 1) {
 		return // no capacity anywhere; stalled until OnCapacityChange
 	}
-	n.completion = n.eng.After(sim.Time(soonest), "netsim/completion", func() {
-		n.completion = nil
-		n.advance()
-		n.reschedule()
-	})
+	if n.completion == nil {
+		n.completion = n.eng.After(sim.Time(soonest), "netsim/completion", n.onCompletion)
+		return
+	}
+	n.eng.Reschedule(n.completion, sim.Time(soonest))
 }
 
 // computeRates assigns weighted max-min fair rates via progressive
 // filling: each link divides its residual capacity in proportion to the
-// unfrozen flows' weights, and the flow with the smallest achievable
-// per-weight share freezes first.
+// unfrozen flows' weights, and the flows with the smallest achievable
+// per-weight share freeze first, in flow-ID order. All state lives in
+// the network's reusable slices, so a recompute allocates nothing once
+// they have grown to the flow set.
 func (n *Network) computeRates() {
-	type linkState struct {
-		cap      float64
-		frozen   float64 // load of frozen flows
-		unfrozen float64 // total weight of unfrozen flows
-		count    int     // active flows traversing the link
+	if nl := n.numLinks(); len(n.links) < nl {
+		n.links = make([]linkState, nl)
 	}
-	links := make(map[linkID]*linkState)
+	for _, l := range n.touched {
+		n.links[l] = linkState{}
+	}
+	n.touched = n.touched[:0]
+	unfrozen := n.unfrozen[:0]
 	for _, f := range n.flows {
 		f.rate = 0
 		if f.stalled {
 			continue
 		}
-		for _, l := range f.links {
-			if _, ok := links[l]; !ok {
-				links[l] = &linkState{cap: n.capacity(l)}
+		unfrozen = append(unfrozen, f)
+		for _, l := range f.path.links() {
+			ls := &n.links[l]
+			if ls.count == 0 {
+				ls.cap = n.capacity(l)
+				n.touched = append(n.touched, l)
 			}
-			links[l].unfrozen += f.Weight
-			links[l].count++
+			ls.unfrozen += f.Weight
+			ls.count++
+			ls.live++
 		}
-	}
-	unfrozen := make(map[uint64]*Flow, len(n.flows))
-	for id, f := range n.flows {
-		if f.stalled {
-			continue
-		}
-		unfrozen[id] = f
 	}
 	for len(unfrozen) > 0 {
 		// Bottleneck per-weight share across links carrying unfrozen
-		// flows.
+		// flows. A link counts as long as one of its flows is unfrozen:
+		// its weight total can round to a residual that is not zero
+		// when weights are not exactly representable sums, and must
+		// not make an idle link look like a bottleneck.
 		min := math.Inf(1)
-		for _, ls := range links {
-			if ls.unfrozen <= 0 {
+		for _, l := range n.touched {
+			ls := &n.links[l]
+			if ls.live == 0 {
 				continue
 			}
 			fair := (ls.cap - ls.frozen) / ls.unfrozen
@@ -490,47 +503,57 @@ func (n *Network) computeRates() {
 		}
 		// Freeze every unfrozen flow traversing a bottleneck link at
 		// weight × per-weight share.
-		progressed := false
-		for id, f := range unfrozen {
-			onBottleneck := false
-			for _, l := range f.links {
-				ls := links[l]
-				fair := (ls.cap - ls.frozen) / ls.unfrozen
-				if fair <= min*(1+1e-12) {
-					onBottleneck = true
-					break
-				}
-			}
-			if onBottleneck {
-				f.rate = min * f.Weight
-				for _, l := range f.links {
-					links[l].frozen += f.rate
-					links[l].unfrozen -= f.Weight
-				}
-				delete(unfrozen, id)
-				progressed = true
+		kept := unfrozen[:0]
+		for _, f := range unfrozen {
+			if n.onBottleneck(f, min) {
+				n.freeze(f, min)
+			} else {
+				kept = append(kept, f)
 			}
 		}
-		if !progressed {
+		if len(kept) == len(unfrozen) {
 			// Numerical corner: freeze everything at min.
-			for id, f := range unfrozen {
-				f.rate = min * f.Weight
-				for _, l := range f.links {
-					links[l].frozen += f.rate
-					links[l].unfrozen -= f.Weight
-				}
-				delete(unfrozen, id)
+			for _, f := range kept {
+				n.freeze(f, min)
 			}
+			kept = kept[:0]
 		}
+		unfrozen = kept
 	}
+	n.unfrozen = unfrozen[:0]
 	if n.queue != nil {
 		n.queue.beginEpoch()
-		for l, ls := range links {
+		for _, l := range n.touched {
+			ls := &n.links[l]
 			util := 0.0
 			if ls.cap > 0 {
 				util = ls.frozen / ls.cap
 			}
 			n.queue.observeLoad(l, util, ls.count)
 		}
+	}
+}
+
+// onBottleneck reports whether any of f's links offers at most the
+// bottleneck per-weight share min.
+func (n *Network) onBottleneck(f *Flow, min float64) bool {
+	for _, l := range f.path.links() {
+		ls := &n.links[l]
+		if (ls.cap-ls.frozen)/ls.unfrozen <= min*(1+1e-12) {
+			return true
+		}
+	}
+	return false
+}
+
+// freeze fixes f's rate at weight × the per-weight share and charges it
+// to every link on its path.
+func (n *Network) freeze(f *Flow, share float64) {
+	f.rate = share * f.Weight
+	for _, l := range f.path.links() {
+		ls := &n.links[l]
+		ls.frozen += f.rate
+		ls.unfrozen -= f.Weight
+		ls.live--
 	}
 }

@@ -73,6 +73,7 @@ func (r *Registry) SubmitWithID(id string, spec JobSpec) (JobInfo, error) {
 	}
 	sh.jobs[id] = m
 	sh.mu.Unlock()
+	r.setLive(m, liveQueued)
 	r.order = append(r.order, m.id)
 	r.reserved++
 	r.mu.Unlock()
@@ -90,6 +91,7 @@ func (r *Registry) SubmitWithID(id string, spec JobSpec) (JobInfo, error) {
 		sh.mu.Lock()
 		delete(sh.jobs, id)
 		sh.mu.Unlock()
+		r.dropLive(m)
 		r.order = slices.DeleteFunc(r.order, func(oid string) bool { return oid == id })
 		r.mu.Unlock()
 		return JobInfo{}, fmt.Errorf("%w: %v", ErrNotDurable, err)
@@ -124,6 +126,7 @@ func (r *Registry) prepare(cfg *autopipe.JobConfig, m *managedJob) {
 		cfg.CheckpointEvery = r.opts.CheckpointEvery
 		cfg.OnCheckpoint = func(cp autopipe.Checkpoint) {
 			r.count(&r.counters.Checkpoints, 1)
+			r.setLive(m, liveCheckpoint)
 			r.journalAppend(journal.TypeCheckpoint, m.id, m.fence, checkpointRec{ID: m.id, Checkpoint: cp})
 			r.compact(false)
 		}

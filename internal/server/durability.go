@@ -72,14 +72,19 @@ func (r *Registry) journalAppend(typ journal.Type, id string, fence uint64, payl
 // journaled records are still live (completed jobs and superseded
 // checkpoints dominate the log). Recover forces it to drop pre-crash
 // history, and FenceOut to guarantee a fenced job's stale tail is gone
-// the moment ownership transfer is acknowledged.
+// the moment ownership transfer is acknowledged. The unforced trigger
+// is checked before taking jmu, so the common no-op costs appenders
+// nothing, and again under it.
 func (r *Registry) compact(force bool) {
 	if r.opts.Journal == nil || r.killed.Load() {
 		return
 	}
+	if !force && !r.wantsCompaction() {
+		return
+	}
 	r.jmu.Lock()
 	defer r.jmu.Unlock()
-	if !force && r.opts.Journal.Segments() < compactAfterSegments && !r.ratioWantsCompaction() {
+	if !force && !r.wantsCompaction() {
 		return
 	}
 	if err := r.opts.Journal.Compact(r.exportRecords(nil)); err != nil {
@@ -87,41 +92,50 @@ func (r *Registry) compact(force bool) {
 	}
 }
 
-// ratioWantsCompaction implements the steady-state trigger: the journal
-// holds enough records to be worth rewriting and less than
-// compactLiveRatio of them is still live. Called with jmu held. The
-// live count is estimated from job states (one submission per job, plus
-// state/checkpoint for running and a final record for finished jobs) —
-// exactly what exportRecords emits, without marshalling anything.
-func (r *Registry) ratioWantsCompaction() bool {
+// wantsCompaction is the unforced trigger: history spans
+// compactAfterSegments segments, or the journal holds enough records to
+// be worth rewriting and less than compactLiveRatio of them is still
+// live. The live count is the running total setLive keeps, so the check
+// is O(1) however many jobs the registry has admitted.
+func (r *Registry) wantsCompaction() bool {
+	if r.opts.Journal.Segments() >= compactAfterSegments {
+		return true
+	}
 	total := r.opts.Journal.Records()
-	if total < compactMinRecords {
-		return false
+	return total >= compactMinRecords && float64(r.live.Load()) < compactLiveRatio*float64(total)
+}
+
+// Per-job live-record counts: how many records exportRecords emits for a
+// job in each phase of its life.
+const (
+	liveQueued     = 1 // the submission alone
+	liveRunning    = 2 // submission + running state
+	liveCheckpoint = 3 // submission + running state + latest checkpoint
+	liveFinished   = 2 // submission + completion
+)
+
+// setLive moves a job's share of Registry.live to n. It is called at the
+// transitions exportRecords mirrors — submitted, running, checkpoint,
+// completion — and by registration. A job that has left the registry
+// stays out however late its worker reports.
+func (r *Registry) setLive(m *managedJob, n int) {
+	m.mu.Lock()
+	if m.live >= 0 {
+		r.live.Add(int64(n - m.live))
+		m.live = n
 	}
-	n := 0
-	for _, id := range r.snapshotOrder() {
-		m, ok := r.lookup(id)
-		if !ok {
-			continue
-		}
-		n++ // submitted
-		if m.final != nil {
-			n++
-			continue
-		}
-		switch m.job.Status().State {
-		case autopipe.JobQueued:
-			// The submission record alone re-queues it.
-		case autopipe.JobRunning:
-			n++ // state record
-			if _, ok := m.job.Checkpoint(); ok {
-				n++
-			}
-		default:
-			n++ // completion record
-		}
+	m.mu.Unlock()
+}
+
+// dropLive removes an unregistered, fenced-out or detached job's
+// records from Registry.live for good.
+func (r *Registry) dropLive(m *managedJob) {
+	m.mu.Lock()
+	if m.live > 0 {
+		r.live.Add(-int64(m.live))
 	}
-	return float64(n) < compactLiveRatio*float64(total)
+	m.live = -1
+	m.mu.Unlock()
 }
 
 // ExportRecords renders the live record stream for the given job IDs

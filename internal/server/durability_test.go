@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -513,4 +514,97 @@ func TestChaosSpecValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, r, info.ID, autopipe.JobDone)
+}
+
+// TestLiveRecordCountMatchesExport: the running live-record count that
+// drives steady-state compaction equals the number of records
+// exportRecords emits, after a randomized sequence of submissions,
+// cancellations, checkpoints, completions and fence-outs. Parked jobs
+// hold a checkpoint while running, so every phase of a job's life is
+// visible at once; between steps the count must converge to the export,
+// and after Shutdown it must match exactly.
+func TestLiveRecordCountMatchesExport(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var (
+			mu     sync.Mutex
+			parkCh chan struct{} // the next submission's park gate, if any
+		)
+		r := NewRegistryWithOptions(Options{
+			PoolSize: 2, CheckpointEvery: 2, WatchdogQuiet: -1,
+			ConfigureJob: func(cfg *autopipe.JobConfig) {
+				mu.Lock()
+				gate := parkCh
+				mu.Unlock()
+				if gate == nil {
+					return
+				}
+				journaled := cfg.OnCheckpoint
+				var once sync.Once
+				cfg.OnCheckpoint = func(cp autopipe.Checkpoint) {
+					journaled(cp)
+					once.Do(func() { <-gate })
+				}
+			},
+		})
+		gates := map[string]chan struct{}{}
+		var ids []string
+		release := func(id string) {
+			if g, ok := gates[id]; ok {
+				close(g)
+				delete(gates, id)
+			}
+		}
+		for step := 0; step < 40; step++ {
+			switch op := rng.Intn(6); {
+			case op <= 1 || len(ids) == 0: // submit, half of them parked
+				var gate chan struct{}
+				spec := smallSpec()
+				if rng.Intn(2) == 0 {
+					gate = make(chan struct{})
+					spec.Batches = 40
+				}
+				mu.Lock()
+				parkCh = gate
+				mu.Unlock()
+				info, err := r.Submit(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, info.ID)
+				if gate != nil {
+					gates[info.ID] = gate
+				}
+			case op == 2: // cancel
+				id := ids[rng.Intn(len(ids))]
+				if _, err := r.Cancel(id); err != nil && !errors.Is(err, ErrNotFound) {
+					t.Fatal(err)
+				}
+				release(id)
+			case op == 3: // let a parked job finish
+				id := ids[rng.Intn(len(ids))]
+				release(id)
+			case op == 4: // fence out to a higher epoch
+				id := ids[rng.Intn(len(ids))]
+				if f, ok := r.Fence(id); ok {
+					r.FenceOut(id, f+1)
+				}
+				release(id)
+			default: // let the pool make progress
+				time.Sleep(time.Duration(rng.Intn(3)) * time.Millisecond)
+			}
+			waitFor(t, "live count to converge on the export", func() bool {
+				return r.live.Load() == int64(len(r.exportRecords(nil)))
+			})
+		}
+		for id := range gates {
+			release(id)
+		}
+		if err := r.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if live, export := r.live.Load(), len(r.exportRecords(nil)); live != int64(export) {
+			t.Fatalf("seed %d: live count %d, exportRecords emits %d", seed, live, export)
+		}
+	}
 }

@@ -65,6 +65,7 @@ func (r *Registry) run(m *managedJob, refuse bool) {
 	m.lastIter = 0
 	m.lastProgress = r.now()
 	m.mu.Unlock()
+	r.setLive(m, liveRunning)
 	r.journalAppend(journal.TypeState, m.id, m.fence, stateRec{ID: m.id, State: autopipe.JobRunning})
 
 	// A job popped while the node sits in a minority partition starts
@@ -87,6 +88,7 @@ func (r *Registry) run(m *managedJob, refuse bool) {
 		defer cancel()
 	}
 	_, err := m.job.Run(ctx) // result and error are retained on the Job itself
+	r.setLive(m, liveFinished)
 	if errors.Is(err, context.DeadlineExceeded) {
 		m.mu.Lock()
 		m.overrideState = autopipe.JobFailed

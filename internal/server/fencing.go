@@ -115,6 +115,7 @@ func (r *Registry) FenceOut(id string, fence uint64) bool {
 	}
 	delete(sh.jobs, id)
 	sh.mu.Unlock()
+	r.dropLive(m)
 
 	// Suppress journal/replication output before aborting the job so a
 	// completion record racing the cancellation cannot slip out.
@@ -162,6 +163,7 @@ func (r *Registry) DetachQueued() []QueuedJob {
 		sh.mu.Lock()
 		delete(sh.jobs, m.id)
 		sh.mu.Unlock()
+		r.dropLive(m)
 		drop[m.id] = true
 		out = append(out, QueuedJob{ID: m.id, Spec: m.spec})
 	}

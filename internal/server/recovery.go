@@ -288,9 +288,12 @@ func (r *Registry) register(m *managedJob) error {
 	sh.jobs[m.id] = m
 	sh.mu.Unlock()
 	r.order = append(r.order, m.id)
-	if m.final == nil {
-		r.enqueueLocked(m)
+	if m.final != nil {
+		r.setLive(m, liveFinished)
+		return nil
 	}
+	r.setLive(m, liveQueued)
+	r.enqueueLocked(m)
 	return nil
 }
 

@@ -184,6 +184,10 @@ type Registry struct {
 	// suppressed.
 	killed atomic.Bool
 
+	// live is the number of records exportRecords would emit: the
+	// compaction trigger's numerator, kept by setLive and dropLive.
+	live atomic.Int64
+
 	// minority flips the registry into partition-shedding mode: see
 	// SetMinority.
 	minority atomic.Bool
@@ -231,6 +235,9 @@ type managedJob struct {
 	overrideReason string
 	lastIter       int       // watchdog progress marker
 	lastProgress   time.Time // when lastIter last advanced
+	// live is this job's share of Registry.live; -1 once the job has
+	// left the registry.
+	live int
 }
 
 // NewRegistry builds a registry running at most poolSize simulations

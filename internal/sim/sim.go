@@ -127,6 +127,25 @@ func (e *Engine) Cancel(ev *Event) {
 	}
 }
 
+// Reschedule re-arms ev to fire delay from now. It is Cancel followed by
+// After with the same name and callback — ev takes the next sequence
+// number, so ties order exactly as they would for a fresh event — but
+// reuses ev instead of allocating one. ev may be pending, cancelled or
+// already fired.
+func (e *Engine) Reschedule(ev *Event, delay Time) {
+	if delay < 0 {
+		delay = 0
+	}
+	if ev.index >= 0 && ev.index < len(e.queue) && e.queue[ev.index] == ev {
+		heap.Remove(&e.queue, ev.index)
+	}
+	ev.At = e.now + delay
+	ev.canceled = false
+	ev.seq = e.nextSeq
+	e.nextSeq++
+	heap.Push(&e.queue, ev)
+}
+
 // Stop makes Run return after the currently firing event completes.
 func (e *Engine) Stop() { e.stopped = true }
 

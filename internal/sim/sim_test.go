@@ -271,3 +271,55 @@ func TestStepSkipsCanceled(t *testing.T) {
 		t.Fatal("Step did not fire the surviving event")
 	}
 }
+
+func TestRescheduleMatchesCancelAndAfter(t *testing.T) {
+	// Re-arming an event orders it exactly like cancelling it and
+	// scheduling a fresh one: same time, next sequence number.
+	run := func(reuse bool) []string {
+		e := NewEngine()
+		var got []string
+		fire := func() { got = append(got, "re") }
+		ev := e.After(1, "re", fire)
+		e.After(2, "a", func() { got = append(got, "a") })
+		e.Schedule(0.5, "move", func() {
+			if reuse {
+				e.Reschedule(ev, 1.5)
+			} else {
+				e.Cancel(ev)
+				e.After(1.5, "re", fire)
+			}
+			e.After(1.5, "b", func() { got = append(got, "b") })
+		})
+		e.RunAll()
+		return got
+	}
+	want := run(false)
+	got := run(true)
+	if len(got) != len(want) || len(got) != 3 {
+		t.Fatalf("reschedule fired %v, cancel+after %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("reschedule fired %v, cancel+after %v", got, want)
+		}
+	}
+}
+
+func TestRescheduleFiredEvent(t *testing.T) {
+	e := NewEngine()
+	fired := 0
+	var ev *Event
+	ev = e.After(1, "tick", func() {
+		fired++
+		if fired < 3 {
+			e.Reschedule(ev, 1)
+		}
+	})
+	e.RunAll()
+	if fired != 3 || e.Now() != 3 {
+		t.Fatalf("re-armed from its own callback: fired %d, now %v; want 3, 3", fired, e.Now())
+	}
+	if n := testing.AllocsPerRun(100, func() { e.Reschedule(ev, 1); e.Cancel(ev) }); n != 0 {
+		t.Fatalf("Reschedule allocated %v times per call", n)
+	}
+}

@@ -280,8 +280,10 @@ type Job struct {
 	cfg     JobConfig
 	batches int // total budget, including any checkpointed base
 	base    int // iterations completed before this process (restore)
-	eng     *sim.Engine
-	ctl     *ap.Controller
+	// eng and ctl are the job's simulator; Run drops them once the
+	// outcome is published.
+	eng *sim.Engine
+	ctl *ap.Controller
 
 	cancel     atomic.Bool
 	fenceAbort atomic.Bool
@@ -559,6 +561,10 @@ func (j *Job) Run(ctx context.Context) (JobResult, error) {
 		j.status.Error = err.Error()
 	}
 	j.finished, j.result, j.err = true, res, err
+	// A finished job keeps only its status, result and last checkpoint:
+	// the simulator and controller are garbage from here on, so a
+	// daemon's memory does not grow with every job it has ever run.
+	j.eng, j.ctl = nil, nil
 	j.mu.Unlock()
 	close(j.done)
 	return res, err

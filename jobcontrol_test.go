@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -192,5 +194,81 @@ func TestCancelInterruptsCandidateSearch(t *testing.T) {
 	// (tens of candidates) must not.
 	if waited := time.Since(start); waited > 5*delay {
 		t.Fatalf("cancellation took %v, want bounded by one candidate evaluation (%v)", waited, delay)
+	}
+}
+
+func TestFinishedJobReleasesSimulator(t *testing.T) {
+	// Run publishes the same outcome whichever way the job ends, and
+	// then drops the simulation engine and controller: a finished job
+	// keeps only its status, result and last checkpoint.
+	cases := []struct {
+		name    string
+		batches int
+		// dynamics and cancelAt shape the ending: a NIC outage stalls
+		// the run (failed), a Cancel from the checkpoint hook stops it.
+		dynamics Trace
+		cancelAt int
+		want     JobState
+	}{
+		{name: "done", batches: 30, want: JobDone},
+		{name: "cancelled", batches: 1000, cancelAt: 2, want: JobCancelled},
+		{name: "failed", batches: 30, dynamics: BandwidthSteps([]float64{0.5}, []float64{0}), want: JobFailed},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testJobConfig()
+			cfg.Dynamics = tc.dynamics
+			cfg.CheckpointEvery = 5
+			var (
+				j   *Job
+				cps []Checkpoint
+			)
+			cfg.OnCheckpoint = func(cp Checkpoint) {
+				cps = append(cps, cp)
+				if len(cps) == tc.cancelAt {
+					j.Cancel()
+				}
+			}
+			j, err := NewJob(cfg, tc.batches)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, runErr := j.Run(context.Background())
+			st := j.Status()
+			if st.State != tc.want {
+				t.Fatalf("state = %s (err %v), want %s", st.State, runErr, tc.want)
+			}
+			if j.eng != nil || j.ctl != nil {
+				t.Fatal("finished job still holds its engine or controller")
+			}
+			gotRes, gotErr := j.Result()
+			if !reflect.DeepEqual(gotRes, res) || gotErr != runErr {
+				t.Fatalf("Result() = %+v, %v; Run returned %+v, %v", gotRes.Result, gotErr, res.Result, runErr)
+			}
+			cp, ok := j.Checkpoint()
+			if ok != (len(cps) > 0) || ok && !reflect.DeepEqual(cp, cps[len(cps)-1]) {
+				t.Fatalf("Checkpoint() = %+v, %v; last taken of %d", cp, ok, len(cps))
+			}
+			switch tc.want {
+			case JobDone:
+				if st.Iteration != tc.batches || st.Throughput != res.Throughput ||
+					!reflect.DeepEqual(st.Plan, res.FinalPlan) || !reflect.DeepEqual(st.Controller, res.Controller) {
+					t.Fatalf("status %+v disagrees with result %+v", st, res.Result)
+				}
+			case JobCancelled:
+				if !errors.Is(runErr, ErrCancelled) || st.Iteration < 5*tc.cancelAt || st.Iteration >= tc.batches {
+					t.Fatalf("cancelled at iteration %d, err %v", st.Iteration, runErr)
+				}
+			case JobFailed:
+				if runErr == nil || st.Error != runErr.Error() {
+					t.Fatalf("status error %q, Run error %v", st.Error, runErr)
+				}
+			}
+			// The published snapshot outlives the simulator.
+			runtime.GC()
+			if again := j.Status(); !reflect.DeepEqual(again, st) {
+				t.Fatalf("status changed after release: %+v, was %+v", again, st)
+			}
+		})
 	}
 }
