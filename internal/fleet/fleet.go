@@ -625,8 +625,8 @@ func (n *Node) handleDigest(w http.ResponseWriter, req *http.Request) {
 // local registry: any local copy superseded by a higher remote epoch is
 // fenced out (cancelled, discarded, journal tail compacted away), and
 // the job's new host is remembered so per-job API requests relay there.
-// Highest fence wins; the registry's terminal-completed guard keeps
-// finished local results in place.
+// Highest fence wins; the registry's done-state guard keeps finished
+// local results in place.
 func (n *Node) processDigest(from string, jobs []server.JobFence) {
 	for _, d := range jobs {
 		if d.ID == "" {
@@ -638,7 +638,7 @@ func (n *Node) processDigest(from string, jobs []server.JobFence) {
 		}
 		if hosted {
 			if !n.reg.FenceOut(d.ID, d.Fence) {
-				continue // terminal-completed guard (or a raced fence-out)
+				continue // done-state guard (or a raced fence-out)
 			}
 			n.cfg.Logf("fleet %s: fenced out %s at epoch %d (owned by %s)", n.cfg.ID, d.ID, d.Fence, from)
 		}

@@ -12,10 +12,11 @@ import (
 // ErrDuplicateID is returned by SubmitWithID for an ID already hosted.
 var ErrDuplicateID = errors.New("server: job id already exists")
 
-// Submit validates the spec, builds the job, journals it and queues it
-// for the pool. Submissions beyond the admission queue are refused with
-// ErrQueueFull; submissions after Shutdown with ErrClosed; a submission
-// whose spec cannot be journaled with ErrNotDurable.
+// Submit validates the spec, journals it and queues it for the pool;
+// the worker that pops the job builds it. Submissions beyond the
+// admission queue are refused with ErrQueueFull; submissions after
+// Shutdown with ErrClosed; a submission whose spec cannot be journaled
+// with ErrNotDurable.
 func (r *Registry) Submit(spec JobSpec) (JobInfo, error) {
 	return r.SubmitWithID("", spec)
 }
@@ -26,11 +27,13 @@ func (r *Registry) Submit(spec JobSpec) (JobInfo, error) {
 // empty ID draws from the registry's own sequence.
 //
 // A minority node, a closed registry or a full queue refuses before
-// the spec is built, so shedding costs no job build, and an invalid
-// spec sent while the queue is full gets ErrQueueFull, not a
-// validation error. A nil error means the job is durable: it holds a
-// queue slot while its submission is journaled and joins the run queue
-// only after; if the append fails it is unregistered again.
+// the spec is validated, so shedding costs no allocation, and an
+// invalid spec sent while the queue is full gets ErrQueueFull, not a
+// validation error. Validation assembles the job's configuration and
+// discards it: the initial plan and the simulator are built by the
+// worker. A nil error means the job is durable: it holds a queue slot
+// while its submission is journaled and joins the run queue only
+// after; if the append fails it is unregistered again.
 func (r *Registry) SubmitWithID(id string, spec JobSpec) (JobInfo, error) {
 	r.mu.Lock()
 	err := r.admitLocked()
@@ -38,17 +41,10 @@ func (r *Registry) SubmitWithID(id string, spec JobSpec) (JobInfo, error) {
 	if err != nil {
 		return JobInfo{}, err
 	}
-	cfg, batches, err := spec.build()
-	if err != nil {
+	if _, _, err := spec.build(); err != nil {
 		return JobInfo{}, fmt.Errorf("invalid job spec: %w", err)
 	}
-	m := &managedJob{spec: spec, batches: batches, fence: 1}
-	r.prepare(&cfg, m)
-	j, err := autopipe.NewJob(cfg, batches)
-	if err != nil {
-		return JobInfo{}, fmt.Errorf("invalid job spec: %w", err)
-	}
-	m.job = j
+	m := &managedJob{spec: spec, fence: 1}
 
 	r.mu.Lock()
 	if err := r.admitLocked(); err != nil {
@@ -73,9 +69,7 @@ func (r *Registry) SubmitWithID(id string, spec JobSpec) (JobInfo, error) {
 	}
 	sh.jobs[id] = m
 	sh.mu.Unlock()
-	r.setLive(m, liveQueued)
-	r.order = append(r.order, m.id)
-	r.reserved++
+	r.addLocked(m)
 	r.mu.Unlock()
 
 	r.startWatchdog()
@@ -83,10 +77,7 @@ func (r *Registry) SubmitWithID(id string, spec JobSpec) (JobInfo, error) {
 	// crash after this point re-queues the job on recovery.
 	err = r.journalAppend(journal.TypeSubmitted, m.id, m.fence, submittedRec{ID: m.id, Created: m.created, Spec: spec})
 	r.mu.Lock()
-	r.reserved--
-	if r.reserved == 0 { // draining workers and DetachQueued wait for this
-		r.work.Broadcast()
-	}
+	r.settleLocked()
 	if err != nil {
 		sh.mu.Lock()
 		delete(sh.jobs, id)
@@ -100,6 +91,26 @@ func (r *Registry) SubmitWithID(id string, spec JobSpec) (JobInfo, error) {
 	r.enqueueLocked(m)
 	r.mu.Unlock()
 	return r.info(m), nil
+}
+
+// addLocked lists a job that was just put in its shard, counts its live
+// records and reserves a queue slot for it until settleLocked: draining
+// workers and DetachQueued wait for every reservation. Caller holds
+// r.mu.
+func (r *Registry) addLocked(m *managedJob) {
+	r.order = append(r.order, m.id)
+	m.mu.Lock()
+	r.syncLiveLocked(m)
+	m.mu.Unlock()
+	r.reserved++
+}
+
+// settleLocked releases an addLocked reservation. Caller holds r.mu.
+func (r *Registry) settleLocked() {
+	r.reserved--
+	if r.reserved == 0 {
+		r.work.Broadcast()
+	}
 }
 
 // admitLocked refuses a submission while the node is in a minority
@@ -117,25 +128,6 @@ func (r *Registry) admitLocked() error {
 		return ErrQueueFull
 	}
 	return nil
-}
-
-// prepare wires the registry's per-job hooks into a built JobConfig.
-// m.id may not be assigned yet; the hooks only fire once the job runs.
-func (r *Registry) prepare(cfg *autopipe.JobConfig, m *managedJob) {
-	if r.opts.CheckpointEvery > 0 {
-		cfg.CheckpointEvery = r.opts.CheckpointEvery
-		cfg.OnCheckpoint = func(cp autopipe.Checkpoint) {
-			r.count(&r.counters.Checkpoints, 1)
-			r.setLive(m, liveCheckpoint)
-			r.journalAppend(journal.TypeCheckpoint, m.id, m.fence, checkpointRec{ID: m.id, Checkpoint: cp})
-			r.compact(false)
-		}
-	}
-	cfg.DaemonKill = r.opts.DaemonKill
-	cfg.PartitionHook = r.opts.PartitionHook
-	if r.opts.ConfigureJob != nil {
-		r.opts.ConfigureJob(cfg)
-	}
 }
 
 // Get returns one job's info.
@@ -166,13 +158,18 @@ func (r *Registry) Cancel(id string) (JobInfo, error) {
 	if !ok {
 		return JobInfo{}, ErrNotFound
 	}
-	if m.job != nil {
-		m.job.Cancel()
-	}
+	m.halt(false)
 	return r.info(m), nil
 }
 
 func (r *Registry) info(m *managedJob) JobInfo {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return r.infoLocked(m)
+}
+
+// infoLocked presents a job in its current phase. Caller holds m.mu.
+func (r *Registry) infoLocked(m *managedJob) JobInfo {
 	if m.final != nil {
 		info := *m.final
 		// A journal-restored (or adopted) result lives wherever it was
@@ -189,19 +186,25 @@ func (r *Registry) info(m *managedJob) JobInfo {
 		Spec:    m.spec,
 		Node:    r.opts.NodeID,
 		Fence:   m.fence,
-		Status:  m.job.Status(),
 	}
-	if res, err := m.job.Result(); err == nil {
-		info.Result = &res
+	if m.job == nil {
+		// Queued: nothing is built yet, so there is no plan to show.
+		info.Status = autopipe.JobStatus{State: autopipe.JobQueued, Batches: m.spec.Batches}
+		if m.cp != nil {
+			info.Status.Iteration = m.cp.Iterations
+		}
+	} else {
+		info.Status = m.job.Status()
+		if res, err := m.job.Result(); err == nil {
+			info.Result = &res
+		}
 	}
-	m.mu.Lock()
 	if m.overrideReason != "" {
-		// The registry killed (or refused) this job: present the cause,
-		// not the generic cancelled state the Job reports.
+		// The watchdog killed this job: present the cause, not the
+		// generic cancelled state the Job reports.
 		info.Status.State = m.overrideState
 		info.Status.Error = m.overrideReason
 	}
-	m.mu.Unlock()
 	return info
 }
 

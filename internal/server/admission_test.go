@@ -81,13 +81,18 @@ func TestRetryAfterDerivation(t *testing.T) {
 // parkedRegistry builds a pool-of-one registry from opts and submits a
 // blocker job that parks in its first checkpoint, holding the only
 // worker until release is called, so later submissions stay queued.
+// An opts.ConfigureJob runs for every job, the blocker included.
 // Cleanup releases the blocker and shuts the registry down.
 func parkedRegistry(t *testing.T, opts Options) (r *Registry, blocker JobInfo, release func()) {
 	t.Helper()
 	parked, unpark := make(chan struct{}), make(chan struct{})
 	var first, park sync.Once
 	opts.PoolSize = 1
+	configure := opts.ConfigureJob
 	opts.ConfigureJob = func(cfg *autopipe.JobConfig) {
+		if configure != nil {
+			configure(cfg)
+		}
 		first.Do(func() {
 			cfg.CheckpointEvery = 1
 			cfg.OnCheckpoint = func(autopipe.Checkpoint) {

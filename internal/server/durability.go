@@ -95,7 +95,7 @@ func (r *Registry) compact(force bool) {
 // wantsCompaction is the unforced trigger: history spans
 // compactAfterSegments segments, or the journal holds enough records to
 // be worth rewriting and less than compactLiveRatio of them is still
-// live. The live count is the running total setLive keeps, so the check
+// live. The live count is the running total syncLiveLocked keeps, so the check
 // is O(1) however many jobs the registry has admitted.
 func (r *Registry) wantsCompaction() bool {
 	if r.opts.Journal.Segments() >= compactAfterSegments {
@@ -105,26 +105,34 @@ func (r *Registry) wantsCompaction() bool {
 	return total >= compactMinRecords && float64(r.live.Load()) < compactLiveRatio*float64(total)
 }
 
-// Per-job live-record counts: how many records exportRecords emits for a
-// job in each phase of its life.
-const (
-	liveQueued     = 1 // the submission alone
-	liveRunning    = 2 // submission + running state
-	liveCheckpoint = 3 // submission + running state + latest checkpoint
-	liveFinished   = 2 // submission + completion
-)
+// recordsLocked is how many records exportRecords emits for the job in
+// its current phase: its submission and completion once finished,
+// otherwise its submission plus any running state and checkpoint.
+// Caller holds m.mu.
+func (m *managedJob) recordsLocked() int {
+	if m.final != nil {
+		return 2
+	}
+	n := 1
+	if m.running {
+		n++
+	}
+	if m.cp != nil {
+		n++
+	}
+	return n
+}
 
-// setLive moves a job's share of Registry.live to n. It is called at the
-// transitions exportRecords mirrors — submitted, running, checkpoint,
-// completion — and by registration. A job that has left the registry
-// stays out however late its worker reports.
-func (r *Registry) setLive(m *managedJob, n int) {
-	m.mu.Lock()
+// syncLiveLocked moves a job's share of Registry.live to its current
+// record count. Callers change a job's phase and sync in one m.mu
+// critical section. A job that has left the registry stays out however
+// late its worker reports. Caller holds m.mu.
+func (r *Registry) syncLiveLocked(m *managedJob) {
 	if m.live >= 0 {
+		n := m.recordsLocked()
 		r.live.Add(int64(n - m.live))
 		m.live = n
 	}
-	m.mu.Unlock()
 }
 
 // dropLive removes an unregistered, fenced-out or detached job's
@@ -156,9 +164,10 @@ func (r *Registry) ExportRecords(ids ...string) []journal.Record {
 }
 
 // exportRecords renders the current state of the jobs in filter (every
-// job when nil) as a compact record stream: one submission per job, plus
-// its latest state, checkpoint or final result. Replaying it is
-// equivalent to replaying the full history.
+// job when nil) as a compact record stream: one submission per job,
+// plus its final result, or else the running state and latest
+// checkpoint it has — a queued job recovered or adopted mid-run keeps
+// them. Replaying it is equivalent to replaying the full history.
 func (r *Registry) exportRecords(filter map[string]bool) []journal.Record {
 	var out []journal.Record
 	emit := func(typ journal.Type, id string, fence uint64, payload any) {
@@ -174,28 +183,19 @@ func (r *Registry) exportRecords(filter map[string]bool) []journal.Record {
 		if !ok {
 			continue
 		}
+		m.mu.Lock()
+		final, running, cp := m.final, m.running, m.cp
+		m.mu.Unlock()
 		emit(journal.TypeSubmitted, id, m.fence, submittedRec{ID: id, Created: m.created, Spec: m.spec})
-		if m.final != nil {
-			emit(journal.TypeCompleted, id, m.fence, completedRec{ID: id, Info: *m.final})
+		if final != nil {
+			emit(journal.TypeCompleted, id, m.fence, completedRec{ID: id, Info: *final})
 			continue
 		}
-		st := m.job.Status()
-		switch st.State {
-		case autopipe.JobQueued:
-			// The submission record alone re-queues it.
-		case autopipe.JobRunning:
+		if running {
 			emit(journal.TypeState, id, m.fence, stateRec{ID: id, State: autopipe.JobRunning})
-			if cp, ok := m.job.Checkpoint(); ok {
-				emit(journal.TypeCheckpoint, id, m.fence, checkpointRec{ID: id, Checkpoint: cp})
-			}
-		default:
-			// Finished but its completion record hasn't been written
-			// yet (run() is about to): snapshot what we have.
-			info := JobInfo{ID: id, Created: m.created, Spec: m.spec, Fence: m.fence, Status: st}
-			if res, err := m.job.Result(); err == nil {
-				info.Result = &res
-			}
-			emit(journal.TypeCompleted, id, m.fence, completedRec{ID: id, Info: info})
+		}
+		if cp != nil {
+			emit(journal.TypeCheckpoint, id, m.fence, checkpointRec{ID: id, Checkpoint: *cp})
 		}
 	}
 	return out

@@ -489,17 +489,23 @@ func newHTTPServer(t *testing.T, srv *Server, reg *Registry) *httptest.Server {
 }
 
 // TestChaosSpecValidation exercises the chaos surface of the job spec.
-func TestChaosSpecValidation(t *testing.T) {
-	r := NewRegistry(1)
-	defer drain(t, r)
-	for name, events := range map[string][]ChaosEventSpec{
+// invalidChaos are chaos schedules admission must refuse:
+// TestChaosSpecValidation and TestInvalidSpecParity share them.
+func invalidChaos() map[string][]ChaosEventSpec {
+	return map[string][]ChaosEventSpec{
 		"unknown kind":       {{Kind: "meteor"}},
 		"negative time":      {{Kind: "kill", At: -1}},
 		"kill_on_flow blank": {{Kind: "kill_on_flow"}},
 		"stall blank":        {{Kind: "stall"}},
 		"drop blank":         {{Kind: "drop"}},
 		"flap no gbps":       {{Kind: "flap_nic", At: 1}},
-	} {
+	}
+}
+
+func TestChaosSpecValidation(t *testing.T) {
+	r := NewRegistry(1)
+	defer drain(t, r)
+	for name, events := range invalidChaos() {
 		spec := smallSpec()
 		spec.Chaos = events
 		if _, err := r.Submit(spec); err == nil {
@@ -526,15 +532,18 @@ func TestChaosSpecValidation(t *testing.T) {
 func TestLiveRecordCountMatchesExport(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
+		// Jobs are built by the worker that pops them, so each parked
+		// job's gate is keyed by its own CheckEvery, which ConfigureJob
+		// can see.
 		var (
-			mu     sync.Mutex
-			parkCh chan struct{} // the next submission's park gate, if any
+			mu        sync.Mutex
+			parkGates = map[int]chan struct{}{}
 		)
 		r := NewRegistryWithOptions(Options{
 			PoolSize: 2, CheckpointEvery: 2, WatchdogQuiet: -1,
 			ConfigureJob: func(cfg *autopipe.JobConfig) {
 				mu.Lock()
-				gate := parkCh
+				gate := parkGates[cfg.CheckEvery]
 				mu.Unlock()
 				if gate == nil {
 					return
@@ -563,10 +572,11 @@ func TestLiveRecordCountMatchesExport(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					gate = make(chan struct{})
 					spec.Batches = 40
+					spec.CheckEvery = 100 + step
+					mu.Lock()
+					parkGates[spec.CheckEvery] = gate
+					mu.Unlock()
 				}
-				mu.Lock()
-				parkCh = gate
-				mu.Unlock()
 				info, err := r.Submit(spec)
 				if err != nil {
 					t.Fatal(err)

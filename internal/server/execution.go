@@ -21,8 +21,8 @@ func (r *Registry) enqueueLocked(m *managedJob) {
 // oldest queued job and runs it, until the registry is closed and no
 // queued or half-admitted job is left. A job popped after Shutdown or
 // Kill began is refused — drain must never start fresh work. A
-// cancelled queued job keeps its slot until a worker pops it; its Run
-// then returns at once.
+// cancelled queued job keeps its slot until a worker pops it, and is
+// then finished without being built.
 func (r *Registry) worker() {
 	defer r.workers.Done()
 	for {
@@ -47,34 +47,54 @@ func (r *Registry) worker() {
 	}
 }
 
-// run executes one popped job on the calling worker, which is also the
-// goroutine that journals its running record, checkpoints and
-// completion. Cancelling a queued job is honoured the moment it is
-// popped: Run returns immediately with ErrCancelled before any virtual
-// time elapses.
+// run takes one popped job through its running and finished phases on
+// the calling worker, which is also the goroutine that builds it and
+// journals its running record, checkpoints and completion. A job
+// cancelled, fenced out or refused before it was popped is never
+// built; one cancelled while it is being built is installed, cancelled
+// and run, so Run returns before any virtual time elapses. Neither
+// writes a running record.
 func (r *Registry) run(m *managedJob, refuse bool) {
 	m.mu.Lock()
-	if refuse {
-		m.overrideState = autopipe.JobCancelled
-		m.overrideReason = ErrClosed.Error()
-		m.mu.Unlock()
-		m.job.Cancel()
-		r.journalAppend(journal.TypeCompleted, m.id, m.fence, completedRec{ID: m.id, Info: r.info(m)})
+	stop, resumed, cp := m.stop, m.running, m.cp
+	m.mu.Unlock()
+	switch {
+	case refuse:
+		r.finish(m, autopipe.JobCancelled, ErrClosed.Error())
+		return
+	case stop:
+		r.finish(m, autopipe.JobCancelled, "")
 		return
 	}
-	m.lastIter = 0
-	m.lastProgress = r.now()
+	j, err := r.newJob(m, resumed, cp)
+	if err != nil {
+		r.finish(m, autopipe.JobFailed, fmt.Sprintf("build: %v", err))
+		return
+	}
+
+	m.mu.Lock()
+	m.job = j
+	stop = m.stop
+	if !stop {
+		m.running = true
+		r.syncLiveLocked(m)
+		m.lastIter = 0
+		m.lastProgress = r.now()
+	}
 	m.mu.Unlock()
-	r.setLive(m, liveRunning)
-	r.journalAppend(journal.TypeState, m.id, m.fence, stateRec{ID: m.id, State: autopipe.JobRunning})
+	if stop {
+		j.Cancel()
+	} else {
+		r.journalAppend(journal.TypeState, m.id, m.fence, stateRec{ID: m.id, State: autopipe.JobRunning})
+	}
 
 	// A job popped while the node sits in a minority partition starts
 	// paused; the double-check closes the race with a concurrent
 	// ResumeAll.
 	if r.minority.Load() {
-		m.job.Pause()
+		j.Pause()
 		if !r.minority.Load() {
-			m.job.Resume()
+			j.Resume()
 		}
 	}
 
@@ -87,17 +107,69 @@ func (r *Registry) run(m *managedJob, refuse bool) {
 		ctx, cancel = context.WithTimeout(ctx, r.opts.JobTimeout)
 		defer cancel()
 	}
-	_, err := m.job.Run(ctx) // result and error are retained on the Job itself
-	r.setLive(m, liveFinished)
-	if errors.Is(err, context.DeadlineExceeded) {
-		m.mu.Lock()
-		m.overrideState = autopipe.JobFailed
-		m.overrideReason = fmt.Sprintf("job deadline exceeded after %s", r.opts.JobTimeout)
-		m.mu.Unlock()
+	if _, err := j.Run(ctx); errors.Is(err, context.DeadlineExceeded) {
 		r.count(&r.counters.DeadlineKills, 1)
+		r.finish(m, autopipe.JobFailed, fmt.Sprintf("job deadline exceeded after %s", r.opts.JobTimeout))
+	} else {
+		r.finish(m, "", "")
 	}
-	r.journalAppend(journal.TypeCompleted, m.id, m.fence, completedRec{ID: m.id, Info: r.info(m)})
 	r.compact(false)
+}
+
+// newJob is the registry's one build site: the spec's configuration
+// with the registry's hooks wired in, resumed from the checkpoint from
+// when the job has one. A job that was running before a recovery or adoption has
+// already fired its control-plane chaos events — that is how it got
+// here — and re-arming them would crash-loop the daemon (or
+// re-partition each successive adopter), so they are stripped.
+func (r *Registry) newJob(m *managedJob, resumed bool, from *autopipe.Checkpoint) (*autopipe.Job, error) {
+	spec := m.spec
+	if resumed {
+		spec = stripControlPlaneChaos(spec)
+	}
+	cfg, batches, err := spec.build()
+	if err != nil {
+		return nil, err
+	}
+	if r.opts.CheckpointEvery > 0 {
+		cfg.CheckpointEvery = r.opts.CheckpointEvery
+		cfg.OnCheckpoint = func(cp autopipe.Checkpoint) {
+			r.count(&r.counters.Checkpoints, 1)
+			m.mu.Lock()
+			m.cp = &cp
+			r.syncLiveLocked(m)
+			m.mu.Unlock()
+			r.journalAppend(journal.TypeCheckpoint, m.id, m.fence, checkpointRec{ID: m.id, Checkpoint: cp})
+			r.compact(false)
+		}
+	}
+	cfg.DaemonKill = r.opts.DaemonKill
+	cfg.PartitionHook = r.opts.PartitionHook
+	if r.opts.ConfigureJob != nil {
+		r.opts.ConfigureJob(&cfg)
+	}
+	if from != nil {
+		return autopipe.NewJobFromCheckpoint(cfg, batches, *from)
+	}
+	return autopipe.NewJob(cfg, batches)
+}
+
+// finish freezes a job's final view and journals its completion. A set
+// state (with its reason) overrides the outcome the job reached. The
+// Job, its simulator and its checkpoint are dropped: a finished job is
+// its JobInfo, as a journal-restored one is.
+func (r *Registry) finish(m *managedJob, state autopipe.JobState, reason string) {
+	m.mu.Lock()
+	info := r.infoLocked(m)
+	if state != "" {
+		info.Status.State = state
+		info.Status.Error = reason
+	}
+	m.final = &info
+	m.job, m.cp = nil, nil
+	r.syncLiveLocked(m)
+	m.mu.Unlock()
+	r.journalAppend(journal.TypeCompleted, m.id, m.fence, completedRec{ID: m.id, Info: info})
 }
 
 // Depth returns the number of jobs waiting for a pool slot.
@@ -161,9 +233,7 @@ func (r *Registry) markClosed() {
 // cancelAll cancels every hosted job.
 func (r *Registry) cancelAll() {
 	for _, m := range r.allJobs() {
-		if m.job != nil {
-			m.job.Cancel()
-		}
+		m.halt(false)
 	}
 }
 

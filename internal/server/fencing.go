@@ -20,21 +20,22 @@ func (r *Registry) SetMinority(v bool) {
 	}
 	if v {
 		for _, m := range r.allJobs() {
-			if m.job != nil && m.final == nil {
-				m.job.Pause()
+			if j := m.current(); j != nil {
+				j.Pause()
 			}
 		}
 		return
 	}
 	now := r.now()
 	for _, m := range r.allJobs() {
-		if m.job == nil || !m.job.Paused() {
+		j := m.current()
+		if j == nil || !j.Paused() {
 			continue
 		}
 		m.mu.Lock()
 		m.lastProgress = now // fresh grace: the pause was not a stall
 		m.mu.Unlock()
-		m.job.Resume()
+		j.Resume()
 	}
 }
 
@@ -46,7 +47,6 @@ func (r *Registry) Minority() bool { return r.minority.Load() }
 type JobFence struct {
 	ID    string `json:"id"`
 	Fence uint64 `json:"fence"`
-	Done  bool   `json:"done"`
 }
 
 // HostedFences lists every hosted job's fence epoch in submission
@@ -59,7 +59,7 @@ func (r *Registry) HostedFences() []JobFence {
 		if !ok {
 			continue
 		}
-		out = append(out, JobFence{ID: id, Fence: m.fence, Done: jobDone(m)})
+		out = append(out, JobFence{ID: id, Fence: m.fence})
 	}
 	return out
 }
@@ -73,14 +73,12 @@ func (r *Registry) Fence(id string) (uint64, bool) {
 	return m.fence, true
 }
 
-// jobDone reports whether a job's result is terminal-completed — the
-// one state fencing never overrides: a finished result is preserved
-// over any competing copy regardless of epoch.
-func jobDone(m *managedJob) bool {
-	if m.final != nil {
-		return true
-	}
-	return m.job != nil && m.job.Status().State == autopipe.JobDone
+// jobDone reports whether a job is in the done state, live or frozen —
+// the one state fencing never overrides: a finished result is
+// preserved over any competing copy regardless of epoch. A cancelled or
+// failed copy is fenced like a live one.
+func (r *Registry) jobDone(m *managedJob) bool {
+	return r.info(m).Status.State == autopipe.JobDone
 }
 
 // tombstone reports the fence epoch a job was abandoned at, if any.
@@ -104,12 +102,12 @@ func (r *Registry) clearTombstone(id string) {
 // its future journal/replication output is suppressed, and the journal
 // is compacted so no post-fence records from the stale owner survive on
 // disk. Returns false when the job is unknown, already at or above the
-// epoch, or terminal-completed (a finished result always wins).
+// epoch, or done (a finished result always wins).
 func (r *Registry) FenceOut(id string, fence uint64) bool {
 	sh := r.shard(id)
 	sh.mu.Lock()
 	m, ok := sh.jobs[id]
-	if !ok || m.fence >= fence || jobDone(m) {
+	if !ok || m.fence >= fence || r.jobDone(m) {
 		sh.mu.Unlock()
 		return false
 	}
@@ -129,9 +127,7 @@ func (r *Registry) FenceOut(id string, fence uint64) bool {
 	r.counters.FencedOut++
 	r.mu.Unlock()
 
-	if m.job != nil {
-		m.job.Abort() // cancel + roll back any half-applied switch
-	}
+	m.halt(true) // cancel + roll back any half-applied switch
 	r.compact(true)
 	return true
 }

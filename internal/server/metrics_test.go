@@ -94,6 +94,23 @@ func TestSpecDynamics(t *testing.T) {
 	if len(cfg.Dynamics) != 3 {
 		t.Fatalf("explicit trace built %d events", len(cfg.Dynamics))
 	}
+	for name, events := range invalidTraces() {
+		spec := smallSpec()
+		spec.Trace = events
+		if _, _, err := spec.build(); err == nil {
+			t.Errorf("%s: built", name)
+		}
+	}
+}
+
+// invalidTraces are resource traces a spec must not build with:
+// TestSpecDynamics and TestInvalidSpecParity share them.
+func invalidTraces() map[string][]TraceEvent {
+	return map[string][]TraceEvent{
+		"negative trace time":    {{At: -1, Kind: "add_job"}},
+		"bandwidth without gbps": {{At: 1, Kind: "bandwidth"}},
+		"unknown trace kind":     {{At: 1, Kind: "warp"}},
+	}
 }
 
 func TestSpecClusterShapes(t *testing.T) {

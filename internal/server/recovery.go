@@ -83,61 +83,49 @@ func parseReplay(recs []journal.Record) (map[string]*replayJob, []string, int) {
 	return byID, order, skipped
 }
 
-// buildReplayed turns one job's replay state into a managedJob at the
-// given fence epoch, updating stats. It returns nil (after counting
-// the skip) when the job cannot be rebuilt. Finished jobs come back
-// with final set; live jobs carry a ready-to-run *autopipe.Job.
-func (r *Registry) buildReplayed(id string, p *replayJob, fence uint64, stats *RecoveryStats) *managedJob {
+// replayed turns one job's replay state into a managedJob at the given
+// fence epoch, updating stats. A finished job comes back frozen; a
+// live one comes back queued with its replay state, for the worker
+// that pops it to build. It returns nil (after counting the skip) for a
+// spec that no longer validates. A checkpoint the resume would refuse
+// is dropped here, so the job counts as, and is, restarted.
+func replayed(id string, p *replayJob, fence uint64, stats *RecoveryStats) *managedJob {
 	m := &managedJob{id: id, created: p.sub.Created, spec: p.sub.Spec, fence: fence}
 	if p.final != nil {
 		m.final = p.final
 		stats.Completed++
 		return m
 	}
-	spec := p.sub.Spec
-	if p.running {
-		// A KillDaemon or Partition event from this spec already fired —
-		// that is how we got here. Re-arming it would crash-loop the
-		// daemon (or re-partition each successive adopter).
-		spec = stripControlPlaneChaos(spec)
-	}
-	cfg, batches, err := spec.build()
-	if err != nil {
+	cfg, batches, err := m.spec.build()
+	switch {
+	case err != nil:
 		stats.Skipped++
 		return nil
+	case !p.running:
+		stats.Requeued++
+	case p.cp != nil && p.cp.Iterations < batches &&
+		p.cp.Validate(cfg.Model.NumLayers(), cfg.Cluster.NumGPUs()) == nil:
+		m.running, m.cp = true, p.cp
+		stats.Resumed++
+	default:
+		m.running = true
+		stats.Restarted++
 	}
-	m.batches = batches
-	r.prepare(&cfg, m)
-	var j *autopipe.Job
-	if p.running && p.cp != nil {
-		if j, err = autopipe.NewJobFromCheckpoint(cfg, batches, *p.cp); err == nil {
-			stats.Resumed++
-		}
-	}
-	if j == nil {
-		if j, err = autopipe.NewJob(cfg, batches); err != nil {
-			stats.Skipped++
-			return nil
-		}
-		if p.running {
-			stats.Restarted++
-		} else {
-			stats.Requeued++
-		}
-	}
-	m.job = j
 	return m
 }
 
 // Recover rebuilds the registry from a journal replay (the records
 // returned by journal.Open). It must be called once, before the
-// registry serves traffic. Queued jobs are re-queued, running jobs are
-// resumed from their last checkpoint (restarted from scratch if none
-// was taken), finished jobs are restored read-only, and the journal is
-// compacted to the rebuilt state. Consumed chaos KillDaemon events are
-// stripped from resumed jobs — the crash they caused already happened.
-// Each job keeps the highest fence its records carried, so a recovered
-// node re-enters the fleet at its pre-crash ownership epoch.
+// registry serves traffic. Finished jobs are restored read-only. Every
+// live job is re-queued as its spec plus its replay state, and the
+// worker that pops it builds it: a queued job from scratch, a running
+// one resumed from its last checkpoint (restarted from scratch if none
+// was taken), with its consumed chaos KillDaemon events stripped — the
+// crash they caused already happened. The journal is then compacted to
+// the rebuilt state, which keeps a queued resume's running record and
+// checkpoint. Each job keeps the highest fence its records carried, so
+// a recovered node re-enters the fleet at its pre-crash ownership
+// epoch.
 func (r *Registry) Recover(recs []journal.Record) (RecoveryStats, error) {
 	byID, order, skipped := parseReplay(recs)
 	stats := RecoveryStats{Skipped: skipped}
@@ -168,11 +156,11 @@ func (r *Registry) Recover(recs []journal.Record) (RecoveryStats, error) {
 		if fence == 0 {
 			fence = 1 // pre-fence journals: treat as first-epoch owners
 		}
-		m := r.buildReplayed(id, p, fence, &stats)
+		m := replayed(id, p, fence, &stats)
 		if m == nil {
 			continue
 		}
-		if err := r.register(m); err != nil {
+		if err := r.register(m, false); err != nil {
 			return stats, err
 		}
 	}
@@ -207,8 +195,8 @@ func (r *Registry) Recover(recs []journal.Record) (RecoveryStats, error) {
 // previous fence-out) are refused and counted in FenceRejected; an
 // incoming stream that DOES beat a locally hosted live copy fences the
 // local copy out first, which is how a healed ex-owner converges after
-// the majority side re-homed its jobs. Terminal-completed local
-// results are never displaced.
+// the majority side re-homed its jobs. A local copy in the done state is
+// never displaced.
 func (r *Registry) Adopt(recs []journal.Record) (RecoveryStats, error) {
 	byID, order, skipped := parseReplay(recs)
 	stats := RecoveryStats{Skipped: skipped}
@@ -229,9 +217,9 @@ func (r *Registry) Adopt(recs []journal.Record) (RecoveryStats, error) {
 			incoming = 1 // pre-fence streams count as first-epoch
 		}
 		if local, ok := r.lookup(id); ok {
-			if incoming <= local.fence || jobDone(local) {
-				// Our copy is at the same or newer epoch (or already
-				// finished): the stream is stale.
+			if incoming <= local.fence || r.jobDone(local) {
+				// Our copy is at the same or newer epoch (or done): the
+				// stream is stale.
 				r.count(&r.counters.FenceRejected, 1)
 				stats.Skipped++
 				continue
@@ -248,24 +236,13 @@ func (r *Registry) Adopt(recs []journal.Record) (RecoveryStats, error) {
 			continue
 		}
 		newFence := incoming + 1
-		m := r.buildReplayed(id, p, newFence, &stats)
+		m := replayed(id, p, newFence, &stats)
 		if m == nil {
 			continue
 		}
 		r.clearTombstone(id)
-		if err := r.register(m); err != nil {
+		if err := r.register(m, true); err != nil {
 			return stats, err
-		}
-		// Durably re-home the job: its spec, progress and result now
-		// live in THIS node's journal and replication stream, stamped
-		// with the new ownership epoch.
-		r.journalAppend(journal.TypeSubmitted, id, newFence, submittedRec{ID: id, Created: m.created, Spec: m.spec})
-		switch {
-		case m.final != nil:
-			r.journalAppend(journal.TypeCompleted, id, newFence, completedRec{ID: id, Info: *m.final})
-		case p.running && p.cp != nil:
-			r.journalAppend(journal.TypeState, id, newFence, stateRec{ID: id, State: autopipe.JobRunning})
-			r.journalAppend(journal.TypeCheckpoint, id, newFence, checkpointRec{ID: id, Checkpoint: *p.cp})
 		}
 	}
 	r.startWatchdog()
@@ -274,26 +251,36 @@ func (r *Registry) Adopt(recs []journal.Record) (RecoveryStats, error) {
 	return stats, nil
 }
 
-// register installs a recovered or adopted job; live jobs join the run
-// queue. It refuses once the registry is closed, when the workers may
+// register installs a recovered or adopted job; a live one joins the
+// run queue. With rejournal, the job is durably re-homed first: what
+// exportRecords emits for it — its spec with its replay state or
+// result, stamped with its fence — is appended to this node's journal
+// and replication stream before a worker can add records of its own.
+// register refuses once the registry is closed, when the workers may
 // already have drained the queue and exited.
-func (r *Registry) register(m *managedJob) error {
+func (r *Registry) register(m *managedJob, rejournal bool) error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.closed {
+		r.mu.Unlock()
 		return ErrClosed
 	}
 	sh := r.shard(m.id)
 	sh.mu.Lock()
 	sh.jobs[m.id] = m
 	sh.mu.Unlock()
-	r.order = append(r.order, m.id)
-	if m.final != nil {
-		r.setLive(m, liveFinished)
-		return nil
+	r.addLocked(m)
+	r.mu.Unlock()
+	if rejournal {
+		for _, rec := range r.exportRecords(map[string]bool{m.id: true}) {
+			r.journalAppend(rec.Type, rec.JobID, rec.Fence, json.RawMessage(rec.Data))
+		}
 	}
-	r.setLive(m, liveQueued)
-	r.enqueueLocked(m)
+	r.mu.Lock()
+	r.settleLocked()
+	if m.final == nil {
+		r.enqueueLocked(m)
+	}
+	r.mu.Unlock()
 	return nil
 }
 

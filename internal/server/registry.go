@@ -113,7 +113,10 @@ type Options struct {
 	// use it to sever peer links at a deterministic simulation point.
 	PartitionHook func()
 	// ConfigureJob, when non-nil, can adjust each job's configuration
-	// after the spec is built (custom predictors, arbiter wiring).
+	// after the spec is built (custom predictors, arbiter wiring). It
+	// runs on the worker that builds the job, once for every job that
+	// runs, and never for a job that is shed, refused or cancelled
+	// before a worker reaches it.
 	ConfigureJob func(*autopipe.JobConfig)
 	// NodeID names this registry's daemon in a multi-node fleet; when
 	// set, every JobInfo carries it so cluster-wide listings show which
@@ -185,7 +188,8 @@ type Registry struct {
 	killed atomic.Bool
 
 	// live is the number of records exportRecords would emit: the
-	// compaction trigger's numerator, kept by setLive and dropLive.
+	// compaction trigger's numerator, kept by syncLiveLocked and
+	// dropLive.
 	live atomic.Int64
 
 	// minority flips the registry into partition-shedding mode: see
@@ -218,26 +222,62 @@ type Registry struct {
 	now func() time.Time
 }
 
+// managedJob is one hosted job. It is in one of three phases, each
+// held in one place: queued (the spec plus its replay state, no Job),
+// running (job, built by the worker that popped it) and finished (the
+// frozen final view; the Job is dropped).
 type managedJob struct {
 	// Immutable after registration.
 	id      string
 	created time.Time
 	spec    JobSpec
-	batches int
-	fence   uint64        // ownership epoch: 1 on first admission, bumped on adoption
-	job     *autopipe.Job // nil for journal-restored finished jobs
-	final   *JobInfo      // frozen info for journal-restored finished jobs
+	fence   uint64 // ownership epoch: 1 on first admission, bumped on adoption
 
-	// mu guards the mutable presentation fields below. It is a leaf
-	// lock: nothing else is acquired while holding it.
-	mu             sync.Mutex
-	overrideState  autopipe.JobState // presented state when the registry killed the job
+	// mu guards everything below. Nothing but the Job's own lock is
+	// acquired while holding it.
+	mu    sync.Mutex
+	job   *autopipe.Job // non-nil only while the job runs
+	final *JobInfo      // frozen view once the job has finished
+	// running and cp are the job's durable replay state: whether its
+	// running record was journaled (by this registry or before a
+	// recovery or adoption) and its latest journaled checkpoint. The
+	// worker resumes from cp; exportRecords emits both.
+	running bool
+	cp      *autopipe.Checkpoint
+	// stop records a Cancel, FenceOut or Kill that reached the job
+	// before its worker installed a Job. The worker skips the build, or
+	// cancels the Job it has just built before Run.
+	stop           bool
+	overrideState  autopipe.JobState // presented state when the watchdog killed the job
 	overrideReason string
 	lastIter       int       // watchdog progress marker
 	lastProgress   time.Time // when lastIter last advanced
 	// live is this job's share of Registry.live; -1 once the job has
 	// left the registry.
 	live int
+}
+
+// current returns the job's Job while it runs, nil otherwise.
+func (m *managedJob) current() *autopipe.Job {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.job
+}
+
+// halt cancels the job, or with abort cancels it and rolls back any
+// in-flight switch. A job without a Job yet records the request for
+// its worker; it has no switch to roll back.
+func (m *managedJob) halt(abort bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	switch {
+	case m.job == nil:
+		m.stop = true // read only by a worker that has not built the job
+	case abort:
+		m.job.Abort()
+	default:
+		m.job.Cancel()
+	}
 }
 
 // NewRegistry builds a registry running at most poolSize simulations

@@ -46,9 +46,10 @@ func drain(t *testing.T, r *Registry) {
 	r.Shutdown(ctx) // cancels whatever is still alive
 }
 
-func TestSubmitValidation(t *testing.T) {
-	r := NewRegistry(1)
-	for name, spec := range map[string]JobSpec{
+// invalidSpecs are specs admission must refuse with a validation
+// error: TestSubmitValidation and TestInvalidSpecParity share them.
+func invalidSpecs() map[string]JobSpec {
+	return map[string]JobSpec{
 		"no model":       {Batches: 10},
 		"unknown model":  {Model: "GPT9", Batches: 10},
 		"no batches":     {Model: "AlexNet"},
@@ -58,7 +59,19 @@ func TestSubmitValidation(t *testing.T) {
 		"bad trace kind": {Model: "AlexNet", Batches: 10, Trace: []TraceEvent{{At: 1, Kind: "warp"}}},
 		"churn and trace": {Model: "AlexNet", Batches: 10,
 			ChurnSeed: new(int64), Trace: []TraceEvent{{At: 1, Kind: "add_job"}}},
-	} {
+		"too many layers": {Model: "uniform", Uniform: &UniformSpec{Layers: maxUniformLayers + 1}, Batches: 10},
+		"huge layers":     {Model: "uniform", Uniform: &UniformSpec{Layers: 100_000}, Batches: 10},
+		"too many gpus":   {Model: "AlexNet", Batches: 10, Servers: 17, GPUsPerServer: 4},
+		"too many servers": {Model: "AlexNet", Batches: 10, Servers: maxClusterGPUs + 1,
+			GPUsPerServer: 1},
+		"gpus overflow":      {Model: "AlexNet", Batches: 10, Servers: 1 << 40, GPUsPerServer: 1 << 40},
+		"too many competing": {Model: "AlexNet", Batches: 10, CompetingJobs: maxCompetingJobs + 1},
+	}
+}
+
+func TestSubmitValidation(t *testing.T) {
+	r := NewRegistry(1)
+	for name, spec := range invalidSpecs() {
 		if _, err := r.Submit(spec); err == nil {
 			t.Errorf("%s: accepted", name)
 		}

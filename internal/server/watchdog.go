@@ -39,24 +39,28 @@ func (r *Registry) startWatchdog() {
 // is not a stall. Factored out of the ticker loop for deterministic
 // tests.
 func (r *Registry) watchdogScan(now time.Time) {
-	var kill []*managedJob
+	var kill []*autopipe.Job
 	for _, id := range r.snapshotOrder() {
 		m, ok := r.lookup(id)
-		if !ok || m.job == nil {
+		if !ok {
 			continue
 		}
-		if m.job.Paused() {
+		j := m.current()
+		if j == nil {
+			continue
+		}
+		if j.Paused() {
 			m.mu.Lock()
 			m.lastProgress = now
 			m.mu.Unlock()
 			continue
 		}
-		st := m.job.Status()
+		st := j.Status()
 		if st.State != autopipe.JobRunning {
 			continue
 		}
 		m.mu.Lock()
-		if m.overrideReason != "" {
+		if m.overrideReason != "" || m.job == nil { // already killed, or finished since
 			m.mu.Unlock()
 			continue
 		}
@@ -75,12 +79,12 @@ func (r *Registry) watchdogScan(now time.Time) {
 		m.overrideReason = fmt.Sprintf("watchdog: no progress for %s (stuck at iteration %d)",
 			quiet.Truncate(time.Millisecond), st.Iteration)
 		m.mu.Unlock()
-		kill = append(kill, m)
+		kill = append(kill, j)
 	}
 	if len(kill) > 0 {
 		r.count(&r.counters.WatchdogKills, int64(len(kill)))
 	}
-	for _, m := range kill {
-		m.job.Cancel()
+	for _, j := range kill {
+		j.Cancel()
 	}
 }
