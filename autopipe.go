@@ -147,15 +147,8 @@ func Workers(n int) []int {
 // PlanPipeDream runs PipeDream's DP partitioner (exclusive-GPU profile,
 // nominal bandwidth — the paper's baseline planner).
 func PlanPipeDream(m *Model, cl *Cluster, workers []int) Plan {
-	cm := partition.NewPipeDreamCost(m, cl, workers[0], seedBandwidth(m, cl))
+	cm := partition.NewPipeDreamCost(m, cl, workers[0], profile.LineRateBps(cl))
 	return partition.PipeDream(cm, workers)
-}
-
-// seedBandwidth is the planning bandwidth before any measurement exists:
-// the nominal NIC line rate, via the profiler's static view (the single
-// source every planner seeds from).
-func seedBandwidth(m *Model, cl *Cluster) float64 {
-	return profile.NewProfiler(m, cl).StaticProfile().SeedBandwidthBps()
 }
 
 // PlanOptimal re-runs the partitioner against the cluster's *current*
@@ -169,7 +162,7 @@ func PlanOptimal(m *Model, cl *Cluster, workers []int) Plan {
 // returns the best plan and the number of workers it uses — on slow
 // fabrics fewer workers can out-train the full pool.
 func SelectWorkers(m *Model, cl *Cluster, workers []int) (Plan, int) {
-	cm := partition.NewPipeDreamCost(m, cl, workers[0], seedBandwidth(m, cl))
+	cm := partition.NewPipeDreamCost(m, cl, workers[0], profile.LineRateBps(cl))
 	return partition.SelectWorkers(cm, workers)
 }
 

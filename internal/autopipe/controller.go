@@ -154,13 +154,19 @@ type Controller struct {
 	net      *netsim.Network
 	engine   *pipeline.AsyncEngine
 	profiler *profile.Profiler
-	history  *meta.History
+	// prof is the controller's one Profile, refilled in place every
+	// iteration (profile.ObserveInto): its contents are valid until the
+	// next iteration, so nothing that outlives an iteration keeps it.
+	prof    profile.Profile
+	history *meta.History
 	// ctx is the run's cancellation scope, installed by Start; decisions
 	// abort mid-search when it is cancelled.
 	ctx context.Context
 
 	predictor meta.Predictor
 	plan      partition.Plan
+	// planGen counts committed plan changes (see PlanGen).
+	planGen uint64
 
 	lastVersion      uint64
 	itersSinceSwitch int
@@ -191,8 +197,9 @@ type Controller struct {
 	recent []float64
 	// Online meta-network adaptation state.
 	adaptSamples []meta.Sample
-	// Decision log (see log.go).
-	decisionLog []DecisionRecord
+	// Decision log (see log.go) and the count of decisions ever logged.
+	decisionLog     []DecisionRecord
+	decisionsLogged uint64
 }
 
 type pendingDecision struct {
@@ -250,9 +257,8 @@ func New(eng *sim.Engine, net *netsim.Network, cfg Config) (*Controller, error) 
 	} else if cfg.InitialPlan != nil {
 		plan = cfg.InitialPlan.Clone()
 	} else {
-		seedBw := profiler.StaticProfile().SeedBandwidthBps()
-		cm := partition.NewPipeDreamCost(cfg.Model, cfg.Cluster, cfg.Workers[0], seedBw)
-		plan = partition.PipeDream(cm, cfg.Workers)
+		cm := partition.NewPipeDreamCost(cfg.Model, cfg.Cluster, cfg.Workers[0], profiler.SeedBandwidthBps())
+		plan = initialPlan(cm, cfg.Workers)
 	}
 	if err := plan.Validate(cfg.Model.NumLayers(), cfg.Cluster.NumGPUs()); err != nil {
 		return nil, fmt.Errorf("autopipe: initial plan: %w", err)
@@ -316,6 +322,16 @@ func (c *Controller) Engine() *pipeline.AsyncEngine { return c.engine }
 // Plan returns the current work partition.
 func (c *Controller) Plan() partition.Plan { return c.plan.Clone() }
 
+// PlanGen counts the plan changes committed so far: a snapshot of Plan
+// taken at one PlanGen stays current until PlanGen moves.
+func (c *Controller) PlanGen() uint64 { return c.planGen }
+
+// setPlan commits p as the current plan.
+func (c *Controller) setPlan(p partition.Plan) {
+	c.plan = p
+	c.planGen++
+}
+
 // Stats returns the controller's activity counters, merged with the
 // engine-owned fault-tolerance counters.
 func (c *Controller) Stats() Stats {
@@ -347,7 +363,7 @@ func (c *Controller) onIteration(batch int, _ sim.Time) {
 	c.stats.Iterations++
 	c.itersSinceSwitch++
 
-	prof := c.profiler.Observe()
+	prof := c.profiler.ObserveInto(&c.prof)
 	ideal := meta.IdealThroughput(prof, c.cfg.Model.MiniBatch)
 	normTp := 0.0
 	if ideal > 0 {
@@ -529,7 +545,7 @@ func (c *Controller) decide(prof *profile.Profile) {
 		if !res.Committed {
 			return // aborted: the incumbent plan stayed authoritative
 		}
-		c.plan = newPlan
+		c.setPlan(newPlan)
 		c.stats.SwitchesApplied++
 		c.stats.SwitchSecondsPredicted += predCost
 		c.stats.SwitchSecondsRealized += float64(c.eng.Now() - switchStart)

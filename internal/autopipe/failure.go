@@ -119,7 +119,7 @@ func (c *Controller) evict(failed []int) bool {
 		if !res.Committed {
 			return
 		}
-		c.plan = np
+		c.setPlan(np)
 		c.itersSinceSwitch = 0
 		c.stats.SwitchesApplied++
 	}); err != nil {

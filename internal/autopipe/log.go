@@ -48,11 +48,17 @@ const maxLogEntries = 1024
 func (c *Controller) logDecision(r DecisionRecord) {
 	r.At = c.eng.Now()
 	r.Iteration = c.stats.Iterations
+	c.decisionsLogged++
 	c.decisionLog = append(c.decisionLog, r)
 	if len(c.decisionLog) > maxLogEntries {
 		c.decisionLog = c.decisionLog[len(c.decisionLog)-maxLogEntries:]
 	}
 }
+
+// DecisionsLogged counts every decision ever logged, including those
+// the bounded log has since dropped: a RecentDecisions copy stays
+// current until the count moves.
+func (c *Controller) DecisionsLogged() uint64 { return c.decisionsLogged }
 
 // DecisionLog returns the recorded reconfiguration decisions (most
 // recent maxLogEntries).

@@ -30,7 +30,9 @@
 // truth: collapse on congestion onset, cautious recovery after it.
 //
 // The estimator is allocation-free in steady state: all windows are
-// fixed-size rings owned by the struct.
+// fixed-size rings owned by the struct. Each observation walks the
+// in-horizon part of the ring once, newest first, for both the
+// throughput window and the trendline.
 package bwe
 
 import "math"
@@ -272,43 +274,62 @@ func (e *Estimator) Observe(o Obs) {
 		e.ewmaRate = e.cfg.FloorAlpha*r + (1-e.cfg.FloorAlpha)*e.ewmaRate
 	}
 
-	e.measureWindow(o.AtSec)
-	e.detect(o.AtSec)
+	e.scan(o.AtSec)
 	e.control(o.AtSec)
 	e.last = o.AtSec
 }
 
-// measureWindow computes the aggregate delivered rate and best per-flow
-// rate over the trend window. The aggregate matters when the job's own
-// flows share the NIC: two concurrent transfers at half rate still prove
-// the full rate is available.
-func (e *Estimator) measureWindow(now float64) {
+// scan walks the in-horizon observations once for both consumers: the
+// throughput window (aggregate delivered rate and best per-flow rate)
+// and the trendline overuse detector. The aggregate matters when the
+// job's own flows share the NIC: two concurrent transfers at half rate
+// still prove the full rate is available.
+//
+// The ring is read newest-first from head-1, and the walk stops at the
+// first observation older than the horizon. A second pass over that
+// same prefix needs the first pass's results (the oldest instant, the
+// regression means); every sum keeps the newest-first order.
+func (e *Estimator) scan(now float64) {
 	horizon := now - e.cfg.TrendWindowSec
-	var max, oldest float64
-	oldest = now
-	for i := 0; i < e.n; i++ {
-		idx := (e.head - 1 - i + window + window) % window
-		if e.at[idx] < horizon {
-			break // ring is time-ordered newest-first from head-1
+	var max, sx, sy float64
+	oldest := now
+	cnt := 0
+	for i, idx := 0, e.head; i < e.n; i++ {
+		if idx--; idx < 0 {
+			idx = window - 1
+		}
+		at := e.at[idx]
+		if at < horizon {
+			break
 		}
 		if e.rate[idx] > max {
 			max = e.rate[idx]
 		}
-		if e.at[idx] < oldest {
-			oldest = e.at[idx]
+		if at < oldest {
+			oldest = at
 		}
+		sx += at
+		sy += e.lat[idx]
+		cnt++
 	}
-	// Aggregate over (oldest, now]: volume completing AT the window's
-	// oldest instant was delivered before it and must not count, or two
-	// same-instant completions would double the apparent rate.
-	var bits float64
-	for i := 0; i < e.n; i++ {
-		idx := (e.head - 1 - i + window + window) % window
-		if e.at[idx] < horizon {
-			break
+	trend := cnt >= 6 && sy > 0
+	mx, my := sx/float64(cnt), sy/float64(cnt)
+	var bits, num, den float64
+	for i, idx := 0, e.head; i < cnt; i++ {
+		if idx--; idx < 0 {
+			idx = window - 1
 		}
-		if e.at[idx] > oldest {
+		at := e.at[idx]
+		// Aggregate over (oldest, now]: volume completing AT the window's
+		// oldest instant was delivered before it and must not count, or
+		// two same-instant completions would double the apparent rate.
+		if at > oldest {
 			bits += e.bits[idx]
+		}
+		if trend {
+			dx := at - mx
+			num += dx * (e.lat[idx] - my)
+			den += dx * dx
 		}
 	}
 	e.windowMax = max
@@ -317,41 +338,20 @@ func (e *Estimator) measureWindow(now float64) {
 	} else {
 		e.aggRate = 0
 	}
-}
-
-// detect runs the trendline regression and the adaptive-threshold
-// overuse detector.
-func (e *Estimator) detect(now float64) {
-	horizon := now - e.cfg.TrendWindowSec
-	// Least-squares slope of smoothed latency vs time over the window.
-	var sx, sy float64
-	cnt := 0
-	for i := 0; i < e.n; i++ {
-		idx := (e.head - 1 - i + window + window) % window
-		if e.at[idx] < horizon {
-			break
-		}
-		sx += e.at[idx]
-		sy += e.lat[idx]
-		cnt++
-	}
-	if cnt < 6 || sy <= 0 {
+	if !trend {
 		return // not enough signal; keep previous state
-	}
-	mx, my := sx/float64(cnt), sy/float64(cnt)
-	var num, den float64
-	for i := 0; i < cnt; i++ {
-		idx := (e.head - 1 - i + window + window) % window
-		dx := e.at[idx] - mx
-		num += dx * (e.lat[idx] - my)
-		den += dx * dx
 	}
 	if den < 1e-12 {
 		return // all observations at one instant: no trend information
 	}
-	// Normalize to fractional latency growth per second: scale-free
-	// across 10G and 100G fabrics.
-	e.slope = (num / den) / my
+	e.detect((num / den) / my)
+}
+
+// detect runs the adaptive-threshold overuse detector on the trendline's
+// least-squares slope, normalized to fractional latency growth per
+// second: scale-free across 10G and 100G fabrics.
+func (e *Estimator) detect(slope float64) {
+	e.slope = slope
 
 	abs := e.slope
 	if abs < 0 {

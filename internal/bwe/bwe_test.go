@@ -220,3 +220,165 @@ func BenchmarkEstimatorObserve(b *testing.B) {
 		b.Fatal("estimate collapsed")
 	}
 }
+
+// oracleObserve is Observe as it stood before the window scan was fused:
+// measureWindow and detect each walk the ring twice with a modulo index.
+// It is kept as the reference the fused scan must match bit for bit.
+func oracleObserve(e *Estimator, o Obs) {
+	if o.Bits <= 0 || o.Seconds <= 0 {
+		return
+	}
+	e.observations++
+	r := o.Bits / o.Seconds
+	l := o.Seconds / (o.Bits / 1e6)
+	if e.smoothLat == 0 {
+		e.smoothLat = l
+	} else {
+		e.smoothLat = 0.3*l + 0.7*e.smoothLat
+	}
+	e.at[e.head], e.lat[e.head], e.rate[e.head], e.bits[e.head] = o.AtSec, e.smoothLat, r, o.Bits
+	e.head = (e.head + 1) % window
+	if e.n < window {
+		e.n++
+	}
+	if e.ewmaRate == 0 {
+		e.ewmaRate = r
+	} else {
+		e.ewmaRate = e.cfg.FloorAlpha*r + (1-e.cfg.FloorAlpha)*e.ewmaRate
+	}
+	oracleMeasureWindow(e, o.AtSec)
+	oracleDetect(e, o.AtSec)
+	e.control(o.AtSec)
+	e.last = o.AtSec
+}
+
+func oracleMeasureWindow(e *Estimator, now float64) {
+	horizon := now - e.cfg.TrendWindowSec
+	var max, oldest float64
+	oldest = now
+	for i := 0; i < e.n; i++ {
+		idx := (e.head - 1 - i + window + window) % window
+		if e.at[idx] < horizon {
+			break
+		}
+		if e.rate[idx] > max {
+			max = e.rate[idx]
+		}
+		if e.at[idx] < oldest {
+			oldest = e.at[idx]
+		}
+	}
+	var bits float64
+	for i := 0; i < e.n; i++ {
+		idx := (e.head - 1 - i + window + window) % window
+		if e.at[idx] < horizon {
+			break
+		}
+		if e.at[idx] > oldest {
+			bits += e.bits[idx]
+		}
+	}
+	e.windowMax = max
+	if span := now - oldest; span >= 1e-3 {
+		e.aggRate = bits / span
+	} else {
+		e.aggRate = 0
+	}
+}
+
+func oracleDetect(e *Estimator, now float64) {
+	horizon := now - e.cfg.TrendWindowSec
+	var sx, sy float64
+	cnt := 0
+	for i := 0; i < e.n; i++ {
+		idx := (e.head - 1 - i + window + window) % window
+		if e.at[idx] < horizon {
+			break
+		}
+		sx += e.at[idx]
+		sy += e.lat[idx]
+		cnt++
+	}
+	if cnt < 6 || sy <= 0 {
+		return
+	}
+	mx, my := sx/float64(cnt), sy/float64(cnt)
+	var num, den float64
+	for i := 0; i < cnt; i++ {
+		idx := (e.head - 1 - i + window + window) % window
+		dx := e.at[idx] - mx
+		num += dx * (e.lat[idx] - my)
+		den += dx * dx
+	}
+	if den < 1e-12 {
+		return
+	}
+	e.detect((num / den) / my)
+}
+
+// randomObs draws one observation for the oracle comparison. The clock
+// mostly advances, but also repeats instants (same-instant completions),
+// steps backwards (non-monotone AtSec) and jumps past the trend window;
+// volumes and latencies span congestion onsets and recoveries.
+func randomObs(rng *rand.Rand, now *float64) Obs {
+	switch k := rng.Intn(20); {
+	case k < 3: // same instant as the previous completion
+	case k < 5:
+		*now -= rng.Float64() * 0.5
+	case k < 6:
+		*now += 3 + rng.Float64()*3
+	default:
+		*now += rng.ExpFloat64() * 0.05
+	}
+	bits := 8 * math.Exp(12+6*rng.Float64())
+	if rng.Intn(30) == 0 {
+		bits = 0 // degenerate, ignored by both
+	}
+	rate := 1e9 * math.Exp(3*rng.Float64())
+	return Obs{AtSec: *now, Seconds: bits/rate + 1e-4*rng.Float64(), Bits: bits}
+}
+
+// TestScanMatchesOracle pins the fused single-walk window scan to the
+// four-pass original: every estimate and every telemetry snapshot must
+// be bitwise equal over random sequences.
+func TestScanMatchesOracle(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := Config{InitialBps: 25e9}
+		if seed%3 == 0 {
+			cfg.TrendWindowSec = 0.5
+		}
+		got, want := New(cfg), New(cfg)
+		now := 0.0
+		for i := 0; i < 600; i++ {
+			o := randomObs(rng, &now)
+			got.Observe(o)
+			oracleObserve(want, o)
+			if got.EstimateBps() != want.EstimateBps() || got.Snapshot() != want.Snapshot() {
+				t.Fatalf("seed %d obs %d (%+v): fused %+v, oracle %+v",
+					seed, i, o, got.Snapshot(), want.Snapshot())
+			}
+		}
+	}
+}
+
+// TestObserveZeroAllocs holds Observe to the package's allocation-free
+// promise on the full path: a full ring, overuse and underuse phases,
+// non-monotone and same-instant completions.
+func TestObserveZeroAllocs(t *testing.T) {
+	e := New(Config{InitialBps: 25e9})
+	rng := rand.New(rand.NewSource(3))
+	now := 0.0
+	obs := make([]Obs, 4096)
+	for i := range obs {
+		obs[i] = randomObs(rng, &now)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(len(obs)-1, func() {
+		e.Observe(obs[i])
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("Observe allocated %.1f allocs/op, want 0", allocs)
+	}
+}

@@ -147,10 +147,10 @@ func generateOne(rng *rand.Rand, cfg DatasetConfig) (Sample, bool) {
 		workers[i] = i
 	}
 	// Sample a partition: PipeDream's plan, randomly perturbed. The
-	// cost model is seeded with the nominal line rate from the
-	// profiler's static view — what a planner knows before measuring.
+	// cost model is seeded with the profiler's nominal line rate — what
+	// a planner knows before measuring.
 	pr := profile.NewProfiler(m, cl)
-	cm := partition.NewPipeDreamCost(m, cl, 0, pr.StaticProfile().SeedBandwidthBps())
+	cm := partition.NewPipeDreamCost(m, cl, 0, pr.SeedBandwidthBps())
 	plan := partition.PipeDream(cm, workers)
 	for steps := rng.Intn(4); steps > 0; steps-- {
 		ns := partition.NeighborsWithMerge(plan)

@@ -117,10 +117,11 @@ func (ap AnalyticPredictor) NewEvaluator() *Evaluator {
 // candidate.
 func (ev *Evaluator) Rebase(p *profile.Profile, base partition.Plan) {
 	h := base.Hash64()
-	if ev.baseInit && ev.sc.prof == p && ev.baseHash == h && ev.baseCfg == ev.ap {
+	bound := ev.sc.boundTo(p)
+	if ev.baseInit && bound && ev.baseHash == h && ev.baseCfg == ev.ap {
 		return
 	}
-	if ev.sc.prof != p {
+	if !bound {
 		ev.sc.bind(p)
 	}
 	ev.baseInit, ev.baseHash, ev.baseCfg = true, h, ev.ap

@@ -193,3 +193,34 @@ func TestAnalyticBatchZeroAllocs(t *testing.T) {
 		t.Fatalf("analytic PredictSpeedBatch allocates %v/op in steady state, want 0", n)
 	}
 }
+
+// TestReusedProfileRebinds: a Profile refilled in place keeps its
+// pointer but moves its Epoch, and both the pooled analytic scratch and
+// an Evaluator must rebuild their per-profile tables from the new
+// contents. A pointer-only binding check serves the stale tables here.
+func TestReusedProfileRebinds(t *testing.T) {
+	cl := cluster.Testbed(cluster.Gbps(25))
+	m := model.ResNet50()
+	pr := profile.NewProfiler(m, cl)
+	_ = pr.SetSmoothing(1)
+	base := randBasePlan(rand.New(rand.NewSource(3)), m.NumLayers(), cl.NumGPUs())
+	ap := AnalyticPredictor{Scheme: netsim.RingAllReduce}
+	ev := ap.NewEvaluator()
+	var reused profile.Profile
+	for round := 0; round < 4; round++ {
+		pr.ObserveInto(&reused)
+		fresh := profile.NewProfiler(m, cl)
+		_ = fresh.SetSmoothing(1)
+		want := ap.PredictSpeed(fresh.Observe(), base, m.MiniBatch, nil)
+		if got := ap.PredictSpeed(&reused, base, m.MiniBatch, nil); got != want {
+			t.Fatalf("round %d (epoch %d): pooled scratch scored %v, want %v", round, reused.Epoch, got, want)
+		}
+		ev.Rebase(&reused, base)
+		if got := ev.PredictSpeed(base, m.MiniBatch); got != want {
+			t.Fatalf("round %d (epoch %d): evaluator scored %v, want %v", round, reused.Epoch, got, want)
+		}
+		// Slow one GPU and the network: the next refill moves the epoch.
+		cl.SetCompetingJobs(round%cl.NumGPUs(), 2+round)
+		cl.SetNICBandwidth(cluster.Gbps(10 + 10*float64(round)))
+	}
+}

@@ -126,7 +126,12 @@ func serverOf(p *profile.Profile, w int) int {
 // compute costs come from two prefix-sum lookups instead of a layer
 // rescan.
 type analyticScratch struct {
-	prof *profile.Profile // profile the tables below were built for
+	// prof and epoch identify the profile contents the tables below were
+	// built from. A profile refilled in place (profile.ObserveInto)
+	// keeps its pointer but moves its Epoch when its values change, so
+	// the pointer alone is not enough.
+	prof  *profile.Profile
+	epoch uint64
 
 	// Per-profile tables.
 	prefix      [][]float64 // prefix[w][l] = Σ_{j<l} FP[w][j]+BP[w][j]
@@ -145,12 +150,18 @@ type analyticScratch struct {
 	_ [64]byte
 }
 
+// boundTo reports whether the per-profile tables were built from p's
+// current contents.
+func (sc *analyticScratch) boundTo(p *profile.Profile) bool {
+	return sc.prof == p && sc.epoch == p.Epoch
+}
+
 var analyticPool = sync.Pool{New: func() any { return new(analyticScratch) }}
 
 // bind rebuilds the per-profile tables for p. This is the only
 // allocating step of the analytic path and runs once per new profile.
 func (sc *analyticScratch) bind(p *profile.Profile) {
-	sc.prof = p
+	sc.prof, sc.epoch = p, p.Epoch
 	if cap(sc.prefix) < p.N {
 		sc.prefix = make([][]float64, p.N)
 	}
@@ -216,7 +227,7 @@ func (ap AnalyticPredictor) PredictSpeed(p *profile.Profile, plan partition.Plan
 		return 0
 	}
 	sc := analyticPool.Get().(*analyticScratch)
-	if sc.prof != p {
+	if !sc.boundTo(p) {
 		sc.bind(p)
 	}
 	tp := ap.predict(sc, p, plan, miniBatch)

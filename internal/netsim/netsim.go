@@ -263,10 +263,14 @@ func (n *Network) StartWeightedFlow(src, dst int, bytes int64, weight float64, n
 // startFlow is the shared entry for job and background flows. A flow
 // first waits out any fixed propagation delay plus the route's current
 // queueing delay, then enters the fair-share allocator.
+//
+// Its timer events carry constant per-kind labels ("netsim/local",
+// "netsim/prop"): the flow's own name, which fault hooks, stalls and
+// flow records match on, travels with the flow, not the event.
 func (n *Network) startFlow(src, dst int, bytes int64, weight float64, name string, background bool, done func()) *Flow {
 	if bytes <= 0 || src == dst {
 		latency := sim.Time(float64(bytes*8) / (n.cl.IntraServerBwBps * 4))
-		n.eng.After(latency, name+"/local", func() {
+		n.eng.After(latency, "netsim/local", func() {
 			if done != nil {
 				done()
 			}
@@ -283,7 +287,7 @@ func (n *Network) startFlow(src, dst int, bytes int64, weight float64, name stri
 		wait += n.queue.routeDelay(&p)
 	}
 	if wait > 0 {
-		n.eng.After(sim.Time(wait), name+"/prop", func() {
+		n.eng.After(sim.Time(wait), "netsim/prop", func() {
 			n.injectFlow(src, dst, p, bytes, weight, name, requested, background, done)
 		})
 		return nil

@@ -39,12 +39,11 @@ func NewPipeDreamCost(m *model.Model, cl *cluster.Cluster, refWorker int, bwBps 
 	ref := cl.GPU(refWorker)
 	saveJobs := ref.CompetingJobs
 	ref.CompetingJobs = 0 // PipeDream profiles an exclusively-used GPU
-	for i, l := range m.Layers {
+	for _, l := range m.Layers {
 		t := cl.FPTime(l, m.MiniBatch, refWorker) * (1 + cluster.BPComputeFactor)
 		cm.LayerTime = append(cm.LayerTime, t)
 		cm.ActBytes = append(cm.ActBytes, l.OutputBytes(m.MiniBatch))
 		cm.ParamBytes = append(cm.ParamBytes, l.ParamBytes())
-		_ = i
 	}
 	ref.CompetingJobs = saveJobs
 	return cm

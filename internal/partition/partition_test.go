@@ -404,3 +404,132 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round trip changed plan: %s vs %s", p, back)
 	}
 }
+
+// pipeDreamOracle is the DP as it stood before its loops were tightened:
+// nested best/split tables and stage and boundary costs recomputed in the
+// innermost loop. PipeDream must return exactly its plan, tie-breaks
+// included.
+func pipeDreamOracle(cm *CostModel, workers []int) Plan {
+	L := len(cm.LayerTime)
+	N := len(workers)
+	if N == 0 || L == 0 {
+		return Plan{}
+	}
+	const inf = math.MaxFloat64
+	best := make([][]float64, L+1)
+	splitI := make([][]int, L+1)
+	splitM := make([][]int, L+1)
+	for j := 0; j <= L; j++ {
+		best[j] = make([]float64, N+1)
+		splitI[j] = make([]int, N+1)
+		splitM[j] = make([]int, N+1)
+		for m := 0; m <= N; m++ {
+			best[j][m] = inf
+		}
+	}
+	best[0][0] = 0
+	prefT := make([]float64, L+1)
+	prefW := make([]int64, L+1)
+	for l := 0; l < L; l++ {
+		prefT[l+1] = prefT[l] + cm.LayerTime[l]
+		prefW[l+1] = prefW[l] + cm.ParamBytes[l]
+	}
+	stageTime := func(i, j, m int) float64 {
+		t := prefT[j] - prefT[i]
+		w := prefW[j] - prefW[i]
+		sync := 0.0
+		if m > 1 {
+			sync = 4 * float64(m-1) / float64(m) * float64(w*8) / cm.Bandwidth
+		}
+		return t/float64(m) + sync
+	}
+	for j := 1; j <= L; j++ {
+		for m := 1; m <= N; m++ {
+			for i := 0; i < j; i++ {
+				for mp := 1; mp <= m; mp++ {
+					prev := best[i][m-mp]
+					if prev == inf {
+						continue
+					}
+					cand := prev
+					if i > 0 {
+						if ct := cm.boundaryCommTime(i - 1); ct > cand {
+							cand = ct
+						}
+					}
+					if st := stageTime(i, j, mp); st > cand {
+						cand = st
+					}
+					if cand < best[j][m] {
+						best[j][m] = cand
+						splitI[j][m] = i
+						splitM[j][m] = mp
+					}
+				}
+			}
+		}
+	}
+	bestM, bestVal := 1, inf
+	for m := 1; m <= N; m++ {
+		if best[L][m] < bestVal {
+			bestVal = best[L][m]
+			bestM = m
+		}
+	}
+	var rev []Stage
+	j, m := L, bestM
+	for j > 0 {
+		i, mp := splitI[j][m], splitM[j][m]
+		rev = append(rev, Stage{Start: i, End: j, Workers: make([]int, mp)})
+		j, m = i, m-mp
+	}
+	plan := Plan{}
+	for s := len(rev) - 1; s >= 0; s-- {
+		plan.Stages = append(plan.Stages, rev[s])
+	}
+	next := 0
+	for si := range plan.Stages {
+		for k := range plan.Stages[si].Workers {
+			plan.Stages[si].Workers[k] = workers[next]
+			next++
+		}
+	}
+	plan.InFlight = noam(len(plan.AllWorkers()), plan.Stages[0].Replicas())
+	return plan
+}
+
+// randomTieCost draws a cost model whose layer times, parameter and
+// activation sizes come from a few small integers, so many partitions
+// tie on the bottleneck and the DP's tie-break order decides the plan.
+func randomTieCost(rng *rand.Rand) *CostModel {
+	L := 1 + rng.Intn(24)
+	cm := &CostModel{Bandwidth: float64(1+rng.Intn(4)) * 1e9}
+	for l := 0; l < L; l++ {
+		cm.LayerTime = append(cm.LayerTime, float64(rng.Intn(4))*0.25)
+		cm.ParamBytes = append(cm.ParamBytes, int64(rng.Intn(3))*1e6)
+		cm.ActBytes = append(cm.ActBytes, int64(rng.Intn(3))*1e5)
+	}
+	return cm
+}
+
+// TestPipeDreamMatchesOracle checks the tightened DP against the
+// original on random cost models with ties and on the catalogue.
+func TestPipeDreamMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 400; trial++ {
+		cm := randomTieCost(rng)
+		ws := rng.Perm(12)[:1+rng.Intn(12)]
+		got, want := PipeDream(cm, ws), pipeDreamOracle(cm, ws)
+		if !got.Equal(want) {
+			t.Fatalf("trial %d (L=%d N=%d): got %v, oracle %v", trial, len(cm.LayerTime), len(ws), got, want)
+		}
+	}
+	cl := cluster.Testbed(cluster.Gbps(25))
+	for _, m := range []*model.Model{model.ResNet50(), model.VGG16(), model.AlexNet(), model.Uniform(8, 2e9, 50000)} {
+		cm := NewPipeDreamCost(m, cl, 0, cluster.Gbps(25))
+		ws := workerIDs(cl.NumGPUs())
+		if got, want := PipeDream(cm, ws), pipeDreamOracle(cm, ws); !got.Equal(want) {
+			t.Fatalf("%s: got %v, oracle %v", m.Name, got, want)
+		}
+	}
+}

@@ -18,59 +18,68 @@ func PipeDream(cm *CostModel, workers []int) Plan {
 	if N == 0 || L == 0 {
 		return Plan{}
 	}
-	// best[j][m]: minimal bottleneck using exactly m workers for the
-	// first j layers. splitAt[j][m] records (i, mPrime): last stage is
-	// layers [i,j) on mPrime workers.
+	// best[j*W+m]: minimal bottleneck using exactly m workers for the
+	// first j layers. splitI/splitM at the same index record (i, mPrime):
+	// the last stage is layers [i,j) on mPrime workers.
 	const inf = math.MaxFloat64
-	best := make([][]float64, L+1)
-	splitI := make([][]int, L+1)
-	splitM := make([][]int, L+1)
-	for j := 0; j <= L; j++ {
-		best[j] = make([]float64, N+1)
-		splitI[j] = make([]int, N+1)
-		splitM[j] = make([]int, N+1)
-		for m := 0; m <= N; m++ {
-			best[j][m] = inf
-		}
+	W := N + 1
+	best := make([]float64, (L+1)*W)
+	splitI := make([]int, (L+1)*W)
+	splitM := make([]int, (L+1)*W)
+	for k := range best {
+		best[k] = inf
 	}
-	best[0][0] = 0
-	// Prefix sums to evaluate stage costs in O(1).
+	best[0] = 0
+	// Prefix sums to evaluate stage costs in O(1), and the boundary
+	// transfer time in front of each possible stage start i ≥ 1.
 	prefT := make([]float64, L+1)
 	prefW := make([]int64, L+1)
+	bound := make([]float64, L)
 	for l := 0; l < L; l++ {
 		prefT[l+1] = prefT[l] + cm.LayerTime[l]
 		prefW[l+1] = prefW[l] + cm.ParamBytes[l]
-	}
-	stageTime := func(i, j, m int) float64 {
-		t := prefT[j] - prefT[i]
-		w := prefW[j] - prefW[i]
-		sync := 0.0
-		if m > 1 {
-			sync = 4 * float64(m-1) / float64(m) * float64(w*8) / cm.Bandwidth
+		if l > 0 {
+			bound[l] = cm.boundaryCommTime(l - 1)
 		}
-		return t/float64(m) + sync
 	}
+	// stage[i*W+mp] is the time of stage [i,j) on mp replicas for the
+	// current j; it does not depend on m, so it is filled once per j.
+	stage := make([]float64, L*W)
 	for j := 1; j <= L; j++ {
+		for i := 0; i < j; i++ {
+			t := prefT[j] - prefT[i]
+			w := prefW[j] - prefW[i]
+			row := stage[i*W : i*W+W]
+			for mp := 1; mp <= N; mp++ {
+				sync := 0.0
+				if mp > 1 {
+					sync = 4 * float64(mp-1) / float64(mp) * float64(w*8) / cm.Bandwidth
+				}
+				row[mp] = t/float64(mp) + sync
+			}
+		}
 		for m := 1; m <= N; m++ {
+			at := j*W + m
 			for i := 0; i < j; i++ {
+				prevRow := best[i*W : i*W+W]
+				row := stage[i*W : i*W+W]
+				ct := bound[i]
 				for mp := 1; mp <= m; mp++ {
-					prev := best[i][m-mp]
+					prev := prevRow[m-mp]
 					if prev == inf {
 						continue
 					}
 					cand := prev
-					if i > 0 {
-						if ct := cm.boundaryCommTime(i - 1); ct > cand {
-							cand = ct
-						}
+					if i > 0 && ct > cand {
+						cand = ct
 					}
-					if st := stageTime(i, j, mp); st > cand {
+					if st := row[mp]; st > cand {
 						cand = st
 					}
-					if cand < best[j][m] {
-						best[j][m] = cand
-						splitI[j][m] = i
-						splitM[j][m] = mp
+					if cand < best[at] {
+						best[at] = cand
+						splitI[at] = i
+						splitM[at] = mp
 					}
 				}
 			}
@@ -80,8 +89,8 @@ func PipeDream(cm *CostModel, workers []int) Plan {
 	// only add sync cost for some models).
 	bestM, bestVal := 1, inf
 	for m := 1; m <= N; m++ {
-		if best[L][m] < bestVal {
-			bestVal = best[L][m]
+		if best[L*W+m] < bestVal {
+			bestVal = best[L*W+m]
 			bestM = m
 		}
 	}
@@ -89,11 +98,8 @@ func PipeDream(cm *CostModel, workers []int) Plan {
 	var rev []Stage
 	j, m := L, bestM
 	for j > 0 {
-		i, mp := splitI[j][m], splitM[j][m]
-		rev = append(rev, Stage{Start: i, End: j})
-		revLast := &rev[len(rev)-1]
-		_ = revLast
-		rev[len(rev)-1].Workers = make([]int, mp)
+		i, mp := splitI[j*W+m], splitM[j*W+m]
+		rev = append(rev, Stage{Start: i, End: j, Workers: make([]int, mp)})
 		j, m = i, m-mp
 	}
 	// Assign concrete worker ids front to back in pool order.

@@ -303,7 +303,7 @@ func (e *AsyncEngine) tryStart(r *replica) {
 	dur /= e.cfg.Framework.Efficiency
 	r.busyTime += dur
 	epoch := e.planEpoch
-	r.pending = e.eng.After(sim.Time(dur), taskName(t, r), func() {
+	r.pending = e.eng.After(sim.Time(dur), taskName(t), func() {
 		if e.planEpoch != epoch {
 			return // replica was discarded by an evicting switch
 		}
@@ -314,12 +314,14 @@ func (e *AsyncEngine) tryStart(r *replica) {
 	})
 }
 
-func taskName(t task, r *replica) string {
-	k := "FP"
+// taskName labels a task's completion event. The label is per kind, not
+// per task: event names are read only by sim.StepDebug, and a formatted
+// per-task label would cost an allocation on every FP/BP task.
+func taskName(t task) string {
 	if t.kind == taskBP {
-		k = "BP"
+		return "pipeline/BP"
 	}
-	return fmt.Sprintf("%s(b%d)@w%d", k, t.batch, r.worker)
+	return "pipeline/FP"
 }
 
 func (e *AsyncEngine) onTaskDone(r *replica, t task) {

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"autopipe/internal/bwe"
+	"autopipe/internal/cluster"
 	"autopipe/internal/netsim"
 )
 
@@ -77,31 +78,13 @@ func (p *Profiler) bandwidth(w int) float64 {
 	return p.bwEwma[w]
 }
 
-// StaticProfile returns the pre-training view: static model metrics,
-// topology, and the nominal line rate — no dynamic observation is
-// consumed and no smoothing state mutated. Bandwidth is filled with each
-// worker's NIC line rate (the planning assumption before any measurement
-// exists); FP/BP are empty.
-func (p *Profiler) StaticProfile() *Profile {
-	m := p.model
-	N := p.cl.NumGPUs()
-	out := &Profile{L: m.NumLayers(), N: N, LineRateBps: p.lineRate()}
-	for _, l := range m.Layers {
-		out.OutBytes = append(out.OutBytes, l.OutputBytes(m.MiniBatch))
-		out.GradBytes = append(out.GradBytes, l.GradientBytes(m.MiniBatch))
-		out.ParamBytes = append(out.ParamBytes, l.ParamBytes())
-	}
-	out.Bandwidth = make([]float64, N)
-	out.Server = make([]int, N)
-	out.Rack = make([]int, N)
-	for w := 0; w < N; w++ {
-		out.Server[w] = p.cl.GPU(w).Server
-		out.Rack[w] = p.cl.ServerOf(w).Rack
-		out.Bandwidth[w] = p.cl.ServerOf(w).NICBwBps
-	}
-	return out
-}
+// SeedBandwidthBps is the bandwidth a planner assumes before any
+// dynamic measurement exists: the nominal line rate (PipeDream's
+// published planning assumption). Reading it consumes no observation.
+func (p *Profiler) SeedBandwidthBps() float64 { return LineRateBps(p.cl) }
 
-// lineRate is the cluster's nominal NIC speed (homogeneous in every
-// testbed this repo models; server 0 is the representative).
-func (p *Profiler) lineRate() float64 { return p.cl.Servers[0].NICBwBps }
+// LineRateBps is the cluster's nominal NIC speed (homogeneous in every
+// testbed this repo models; server 0 is the representative). It is the
+// single seed source every planner reads, through a Profiler or, where
+// none exists, directly.
+func LineRateBps(cl *cluster.Cluster) float64 { return cl.Servers[0].NICBwBps }

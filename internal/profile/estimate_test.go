@@ -74,24 +74,21 @@ func TestSetOracleFalseWithoutNetworkStaysOracle(t *testing.T) {
 	}
 }
 
-func TestStaticProfileSeedsLineRateWithoutObserving(t *testing.T) {
+func TestSeedBandwidthIsLineRateWithoutObserving(t *testing.T) {
 	cl := cluster.Testbed(cluster.Gbps(25))
 	pr := NewProfiler(model.AlexNet(), cl)
-	st := pr.StaticProfile()
-	if st.SeedBandwidthBps() != cluster.Gbps(25) {
-		t.Fatalf("seed bandwidth %v, want nominal 25G line rate", st.SeedBandwidthBps())
+	seed := pr.SeedBandwidthBps()
+	if seed != cluster.Gbps(25) || LineRateBps(cl) != seed {
+		t.Fatalf("seed bandwidth %v, want nominal 25G line rate", seed)
 	}
-	if len(st.OutBytes) != st.L || len(st.Bandwidth) != st.N || st.Server[3] != cl.GPU(3).Server {
-		t.Fatal("static profile shapes/topology wrong")
-	}
-	// StaticProfile consumes no observation: the first real Observe must
-	// match a fresh profiler's exactly.
+	// Reading the seed consumes no observation: the first real Observe
+	// must match a fresh profiler's exactly.
 	a := pr.Observe()
 	b := NewProfiler(model.AlexNet(), cl).Observe()
 	if a.Bandwidth[0] != b.Bandwidth[0] || a.FP[2][1] != b.FP[2][1] {
-		t.Fatal("StaticProfile mutated profiler state")
+		t.Fatal("SeedBandwidthBps mutated profiler state")
 	}
-	if a.SeedBandwidthBps() != st.SeedBandwidthBps() {
-		t.Fatal("Observe and StaticProfile disagree on seed bandwidth")
+	if a.LineRateBps != seed {
+		t.Fatal("Observe and SeedBandwidthBps disagree on the line rate")
 	}
 }

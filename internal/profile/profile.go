@@ -9,6 +9,12 @@
 // near-constant for a fixed model), then each iteration observes a single
 // reference layer per worker and reconstructs the full FP/BP matrices
 // from the ratios.
+//
+// Observe returns a fresh Profile the caller owns. A per-iteration
+// consumer refills one Profile with ObserveInto instead: its contents
+// are valid until the next refill of the same destination, and a cache
+// derived from it must key on the pointer and Epoch together. Every
+// Profile shares its profiler's static byte arrays read-only.
 package profile
 
 import (
@@ -35,8 +41,8 @@ type Profile struct {
 	BP        [][]float64 // BP[i][j]
 
 	// LineRateBps is the nominal NIC line rate — a static datum the job
-	// knows from its placement, independent of any measurement. Planners
-	// use it to seed cost models before dynamic observations exist.
+	// knows from its placement, independent of any measurement; the same
+	// value planners seed cost models with (Profiler.SeedBandwidthBps).
 	LineRateBps float64
 
 	// Topology: Server[i] is the server hosting worker i (known to the
@@ -53,11 +59,6 @@ type Profile struct {
 	// Epoch from the same Profiler carry identical dynamic metrics.
 	Epoch uint64
 }
-
-// SeedBandwidthBps returns the bandwidth a planner should assume before
-// any dynamic measurement exists: the nominal NIC line rate (PipeDream's
-// published planning assumption).
-func (p *Profile) SeedBandwidthBps() float64 { return p.LineRateBps }
 
 // TotalComputeTime returns Σ (FP+BP) of all layers on worker w.
 func (p *Profile) TotalComputeTime(w int) float64 {
@@ -106,20 +107,31 @@ type Profiler struct {
 	epochSmooth []float64
 	epochBw     []float64
 	epochVer    uint64
+
+	// Static per-layer byte arrays, recorded once before training and
+	// shared read-only by every Profile this profiler fills.
+	outBytes, gradBytes, paramBytes []int64
 }
 
-// NewProfiler builds a profiler and performs the one-off pre-training
-// ratio measurement on worker 0's GPU type.
+// NewProfiler builds a profiler, records the static metrics and performs
+// the one-off pre-training ratio measurement on worker 0's GPU type.
 func NewProfiler(m *model.Model, cl *cluster.Cluster) *Profiler {
-	p := &Profiler{model: m, cl: cl, alpha: 0.5, oracle: true}
+	L := m.NumLayers()
+	p := &Profiler{
+		model: m, cl: cl, alpha: 0.5, oracle: true,
+		outBytes: make([]int64, L), gradBytes: make([]int64, L), paramBytes: make([]int64, L),
+	}
 	total := 0.0
-	times := make([]float64, m.NumLayers())
+	times := make([]float64, L)
 	g := cl.GPU(0)
 	saved := g.CompetingJobs
 	g.CompetingJobs = 0
 	for j, l := range m.Layers {
 		times[j] = cl.FPTime(l, m.MiniBatch, 0)
 		total += times[j]
+		p.outBytes[j] = l.OutputBytes(m.MiniBatch)
+		p.gradBytes[j] = l.GradientBytes(m.MiniBatch)
+		p.paramBytes[j] = l.ParamBytes()
 	}
 	g.CompetingJobs = saved
 	p.ratios = make([]float64, len(times))
@@ -158,32 +170,41 @@ func (p *Profiler) jitter(x float64) float64 {
 	return x * math.Exp(p.noiseRng.NormFloat64()*p.noiseSigma)
 }
 
-// Observe returns the current iteration's Profile.
-func (p *Profiler) Observe() *Profile {
+// Observe returns the current iteration's Profile as a fresh value the
+// caller owns outright (ObserveInto(new(Profile))).
+func (p *Profiler) Observe() *Profile { return p.ObserveInto(new(Profile)) }
+
+// ObserveInto refills dst with the current iteration's Profile and
+// returns it. dst's dynamic slices are reused once they have the right
+// shape — FP and BP are each carved from one N·L backing array — and the
+// static byte arrays are the Profiler's own, shared read-only by every
+// Profile it produces. Ownership rule: the contents are valid until the
+// next refill of the same destination, so a consumer that must outlive
+// it copies what it needs. A destination is refilled by one Profiler
+// only: caches keyed on (pointer, Epoch) rely on it. The jitter RNG is
+// drawn in exactly Observe's order, so a reused destination holds
+// bit-identical values to a fresh one.
+func (p *Profiler) ObserveInto(dst *Profile) *Profile {
 	m := p.model
 	N := p.cl.NumGPUs()
 	L := m.NumLayers()
-	out := &Profile{L: L, N: N, LineRateBps: p.lineRate()}
-	for _, l := range m.Layers {
-		out.OutBytes = append(out.OutBytes, l.OutputBytes(m.MiniBatch))
-		out.GradBytes = append(out.GradBytes, l.GradientBytes(m.MiniBatch))
-		out.ParamBytes = append(out.ParamBytes, l.ParamBytes())
-	}
 	if p.smooth == nil {
 		p.smooth = make([]float64, N)
 		p.bwEwma = make([]float64, N)
 	}
-	out.Bandwidth = make([]float64, N)
-	out.FP = make([][]float64, N)
-	out.BP = make([][]float64, N)
-	out.Server = make([]int, N)
-	out.Rack = make([]int, N)
+	dst.L, dst.N, dst.LineRateBps = L, N, LineRateBps(p.cl)
+	dst.OutBytes, dst.GradBytes, dst.ParamBytes = p.outBytes, p.gradBytes, p.paramBytes
+	dst.Bandwidth = resize(dst.Bandwidth, N)
+	dst.Server = resize(dst.Server, N)
+	dst.Rack = resize(dst.Rack, N)
+	dst.FP = carve(dst.FP, N, L)
+	dst.BP = carve(dst.BP, N, L)
 	for w := 0; w < N; w++ {
-		out.Server[w] = p.cl.GPU(w).Server
-		out.Rack[w] = p.cl.ServerOf(w).Rack
+		dst.Server[w] = p.cl.GPU(w).Server
+		dst.Rack[w] = p.cl.ServerOf(w).Rack
 		// Bandwidth observed from the last iteration's transfers —
 		// estimated from flow completions, or the oracle (estimate.go).
-		out.Bandwidth[w] = p.bandwidth(w)
+		dst.Bandwidth[w] = p.bandwidth(w)
 
 		// One timed layer per worker, the rest via ratios.
 		measured := p.jitter(p.cl.FPTime(m.Layers[p.refLayer], m.MiniBatch, w))
@@ -193,15 +214,42 @@ func (p *Profiler) Observe() *Profile {
 			p.smooth[w] = p.alpha*measured + (1-p.alpha)*p.smooth[w]
 		}
 		base := p.smooth[w] / p.ratios[p.refLayer]
-		out.FP[w] = make([]float64, L)
-		out.BP[w] = make([]float64, L)
+		fp, bp := dst.FP[w], dst.BP[w]
 		for j := 0; j < L; j++ {
-			out.FP[w][j] = base * p.ratios[j]
-			out.BP[w][j] = out.FP[w][j] * cluster.BPComputeFactor
+			fp[j] = base * p.ratios[j]
+			bp[j] = fp[j] * cluster.BPComputeFactor
 		}
 	}
-	out.Epoch = p.stampEpoch(out)
-	return out
+	dst.Epoch = p.stampEpoch(dst)
+	return dst
+}
+
+// resize returns s with length n, reusing its storage when large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// carve returns an n×l matrix whose rows share one backing array,
+// reusing rows as they are when they already have that shape.
+func carve(rows [][]float64, n, l int) [][]float64 {
+	if len(rows) == n {
+		fits := true
+		for _, r := range rows {
+			fits = fits && len(r) == l
+		}
+		if fits {
+			return rows
+		}
+	}
+	flat := make([]float64, n*l)
+	rows = make([][]float64, n)
+	for i := range rows {
+		rows[i] = flat[i*l : (i+1)*l : (i+1)*l]
+	}
+	return rows
 }
 
 // stampEpoch returns the observation-content epoch for this observation,

@@ -3,10 +3,14 @@ package profile
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"autopipe/internal/cluster"
 	"autopipe/internal/model"
+	"autopipe/internal/netsim"
+	"autopipe/internal/sim"
+	"autopipe/internal/trace"
 )
 
 func TestStaticMetricsShapes(t *testing.T) {
@@ -201,5 +205,104 @@ func TestProfileTopology(t *testing.T) {
 	// Round-robin racks: server 0 → rack 0, server 1 → rack 1.
 	if p.Rack[0] != 0 || p.Rack[4] != 1 {
 		t.Fatalf("rack mapping wrong: %v", p.Rack[:8])
+	}
+}
+
+// sameProfile reports the first field where a and b differ bitwise.
+func sameProfile(a, b *Profile) string {
+	if a.L != b.L || a.N != b.N || a.Epoch != b.Epoch ||
+		math.Float64bits(a.LineRateBps) != math.Float64bits(b.LineRateBps) {
+		return "scalars"
+	}
+	eqF := func(x, y []float64) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	eqI := func(x, y []int64) bool { return slices.Equal(x, y) }
+	switch {
+	case !eqI(a.OutBytes, b.OutBytes), !eqI(a.GradBytes, b.GradBytes), !eqI(a.ParamBytes, b.ParamBytes):
+		return "static bytes"
+	case !eqF(a.Bandwidth, b.Bandwidth):
+		return "bandwidth"
+	case !slices.Equal(a.Server, b.Server), !slices.Equal(a.Rack, b.Rack):
+		return "topology"
+	case len(a.FP) != len(b.FP) || len(a.BP) != len(b.BP):
+		return "FP/BP rows"
+	}
+	for w := range a.FP {
+		if !eqF(a.FP[w], b.FP[w]) || !eqF(a.BP[w], b.BP[w]) {
+			return "FP/BP"
+		}
+	}
+	return ""
+}
+
+// TestObserveIntoMatchesObserve refills one Profile through a churn
+// trace with measurement noise and checks every refill against a fresh
+// Observe from a twin profiler, bit for bit. Earlier fresh values must
+// stay untouched by later observations.
+func TestObserveIntoMatchesObserve(t *testing.T) {
+	cl := cluster.Testbed(cluster.Gbps(25))
+	tr := trace.Churn(rand.New(rand.NewSource(9)), trace.ChurnConfig{
+		Duration: 60, MeanArrival: 4, MeanLifetime: 8,
+		BandwidthLevelsGbps: []float64{10, 25, 40, 100}, MeanBandwidthHold: 5,
+	}).Sorted()
+	m := model.ResNet50()
+	fresh, reused := NewProfiler(m, cl), NewProfiler(m, cl)
+	fresh.SetNoise(rand.New(rand.NewSource(5)), 0.1)
+	reused.SetNoise(rand.New(rand.NewSource(5)), 0.1)
+	var dst Profile
+	var first *Profile
+	var firstFP float64
+	next := 0
+	for it := 0; it < 300; it++ {
+		now := 0.2 * float64(it)
+		for ; next < len(tr) && tr[next].At <= now; next++ {
+			tr[next].Apply(cl)
+		}
+		want := fresh.Observe()
+		got := reused.ObserveInto(&dst)
+		if got != &dst {
+			t.Fatal("ObserveInto did not return its destination")
+		}
+		if diff := sameProfile(got, want); diff != "" {
+			t.Fatalf("iteration %d: reused profile differs from fresh in %s", it, diff)
+		}
+		if first == nil {
+			first, firstFP = want, want.FP[3][7]
+		}
+	}
+	if next < 5 {
+		t.Fatalf("only %d churn events applied", next)
+	}
+	if first.FP[3][7] != firstFP {
+		t.Fatal("a later Observe mutated an earlier fresh Profile")
+	}
+}
+
+// TestObserveIntoZeroAllocs pins the steady state: refilling a Profile
+// of the right shape allocates nothing, noise and estimators included.
+func TestObserveIntoZeroAllocs(t *testing.T) {
+	cl := cluster.Testbed(cluster.Gbps(25))
+	eng := sim.NewEngine()
+	net := netsim.New(eng, cl)
+	for _, estimated := range []bool{false, true} {
+		pr := NewProfiler(model.VGG16(), cl)
+		pr.SetNoise(rand.New(rand.NewSource(1)), 0.05)
+		if estimated {
+			pr.AttachNetwork(net)
+		}
+		var dst Profile
+		pr.ObserveInto(&dst)
+		if allocs := testing.AllocsPerRun(200, func() { pr.ObserveInto(&dst) }); allocs != 0 {
+			t.Fatalf("estimated=%v: ObserveInto allocated %.1f allocs/op, want 0", estimated, allocs)
+		}
 	}
 }

@@ -84,7 +84,7 @@ func generateOne(rng *rand.Rand, horizon int) (Decision, bool) {
 	cl := cluster.Testbed(cluster.Gbps(before))
 	workers := []int{0, 1, 2, 3}
 	pr := profile.NewProfiler(m, cl)
-	cm := partition.NewPipeDreamCost(m, cl, 0, pr.StaticProfile().SeedBandwidthBps())
+	cm := partition.NewPipeDreamCost(m, cl, 0, pr.SeedBandwidthBps())
 	cur := partition.PipeDream(cm, workers)
 	if cur.Validate(m.NumLayers(), cl.NumGPUs()) != nil {
 		return Decision{}, false

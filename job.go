@@ -305,6 +305,10 @@ type Job struct {
 	result   JobResult
 	err      error
 	lastCP   *Checkpoint
+	// planGen and decisionsSeen are the controller generations status.Plan
+	// and status.Decisions were copied at (see snapshotLocked).
+	planGen       uint64
+	decisionsSeen uint64
 }
 
 // NewJob builds a managed job: the simulation engine, network and
@@ -435,9 +439,15 @@ func (j *Job) snapshotLocked(state JobState) {
 	j.status.Iteration = j.base + e.Completed()
 	j.status.VirtualTime = float64(j.eng.Now())
 	j.status.Throughput = e.Throughput()
-	j.status.Plan = j.ctl.Plan()
 	j.status.Controller = j.ctl.Stats()
-	j.status.Decisions = j.ctl.RecentDecisions(statusDecisionWindow)
+	// The plan and the decision window are copied only when they moved:
+	// a published copy is never mutated, so readers may keep it.
+	if g := j.ctl.PlanGen(); g != j.planGen {
+		j.status.Plan, j.planGen = j.ctl.Plan(), g
+	}
+	if n := j.ctl.DecisionsLogged(); n != j.decisionsSeen {
+		j.status.Decisions, j.decisionsSeen = j.ctl.RecentDecisions(statusDecisionWindow), n
+	}
 }
 
 // Status returns the latest progress snapshot. Safe from any goroutine.

@@ -12,6 +12,7 @@ import (
 	"autopipe/internal/meta"
 	"autopipe/internal/partition"
 	"autopipe/internal/profile"
+	"autopipe/internal/sim"
 )
 
 func testJobConfig() JobConfig {
@@ -270,5 +271,56 @@ func TestFinishedJobReleasesSimulator(t *testing.T) {
 				t.Fatalf("status changed after release: %+v, was %+v", again, st)
 			}
 		})
+	}
+}
+
+// TestStatusSnapshotCopiesOnlyChanges: the status snapshot re-copies the
+// plan only after a switch and the decision window only when a decision
+// was logged, yet every published status matches the controller at its
+// batch, and no published value is mutated afterwards.
+func TestStatusSnapshotCopiesOnlyChanges(t *testing.T) {
+	cl := Testbed(Gbps(25))
+	j, err := NewJob(JobConfig{
+		Model: ResNet50(), Cluster: cl, Workers: Workers(cl.NumGPUs()),
+		Scheme: RingAllReduce, Dynamics: ChurnTrace(1, 60),
+	}, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen, copies []JobStatus
+	deepCopy := func(st JobStatus) JobStatus {
+		b, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out JobStatus
+		if err := json.Unmarshal(b, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	// Registered after the job's own snapshot hook, so it sees this
+	// batch's published status.
+	j.ctl.Engine().OnBatchDone(func(int, sim.Time) {
+		st := j.Status()
+		if !st.Plan.Equal(j.ctl.Plan()) {
+			t.Errorf("iteration %d: status plan %v, controller plan %v", st.Iteration, st.Plan, j.ctl.Plan())
+		}
+		if want := j.ctl.RecentDecisions(statusDecisionWindow); !reflect.DeepEqual(st.Decisions, want) {
+			t.Errorf("iteration %d: status holds %d decisions, controller %d", st.Iteration, len(st.Decisions), len(want))
+		}
+		seen, copies = append(seen, st), append(copies, deepCopy(st))
+	})
+	res, err := j.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Controller.SwitchesApplied == 0 || len(res.Decisions) == 0 {
+		t.Fatalf("fixture made %d switches and %d decisions; the test needs both", res.Controller.SwitchesApplied, len(res.Decisions))
+	}
+	for i := range seen {
+		if got := deepCopy(seen[i]); !reflect.DeepEqual(got, copies[i]) {
+			t.Fatalf("status published at iteration %d was mutated afterwards", seen[i].Iteration)
+		}
 	}
 }
