@@ -206,7 +206,7 @@ func BenchmarkNetsimFlow(b *testing.B) {
 		cl := cluster.Testbed(cluster.Gbps(25))
 		net := netsim.New(eng, cl)
 		for f := 0; f < 8; f++ {
-			net.StartFlow(f%10, (f+3)%10, 1e8, "bench", nil)
+			net.StartFlow(f%10, (f+3)%10, 1e8, netsim.Label("bench"), nil)
 		}
 		eng.RunAll()
 	}

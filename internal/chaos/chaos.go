@@ -231,8 +231,14 @@ func (inj *Injector) kill(w int) {
 func (inj *Injector) Dead(w int) bool { return inj.dead[w] }
 
 // fault is the netsim hook, consulted at every flow injection. Local
-// (same-worker or zero-byte) transfers bypass injection entirely.
-func (inj *Injector) fault(src, dst int, name string) netsim.FlowFault {
+// (same-worker or zero-byte) transfers bypass injection entirely. The
+// flow's name is rendered only when some trigger could match it.
+func (inj *Injector) fault(src, dst int, n netsim.Name) netsim.FlowFault {
+	if len(inj.armedDaemonKill)+len(inj.armedPartition)+len(inj.armedKills)+
+		len(inj.dropMatch)+len(inj.stallMatch) == 0 && !inj.dead[dst] {
+		return netsim.FaultNone
+	}
+	name := n.String()
 	for i, match := range inj.armedDaemonKill {
 		if strings.Contains(name, match) {
 			inj.armedDaemonKill = append(inj.armedDaemonKill[:i], inj.armedDaemonKill[i+1:]...)

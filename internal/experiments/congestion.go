@@ -47,7 +47,7 @@ func runProbes(eng *sim.Engine, net *netsim.Network, src, dst, count int, bytes 
 			}
 			return
 		}
-		net.StartFlow(src, dst, bytes, "probe", func() { next(i + 1) })
+		net.StartFlow(src, dst, bytes, netsim.Label("probe"), func() { next(i + 1) })
 	}
 	next(0)
 	eng.RunAll()

@@ -24,8 +24,9 @@ import (
 // when the last bit arrived, and the endpoints. It deliberately carries
 // no link-capacity ground truth.
 type FlowRecord struct {
-	ID   uint64
-	Name string
+	ID uint64
+	// Name is the flow's name as parts; String renders it.
+	Name Name
 	// Src/Dst are worker (GPU) ids; SrcServer/DstServer the hosting
 	// servers whose NICs the flow traversed.
 	Src, Dst             int
@@ -66,13 +67,13 @@ func (n *Network) AddFlowObserver(fn func(FlowRecord)) {
 }
 
 // record builds the completion record for a finished flow.
-func (n *Network) record(f *Flow) FlowRecord {
+func (n *Network) record(f *flow) FlowRecord {
 	return FlowRecord{
-		ID:   f.ID,
-		Name: f.Name,
-		Src:  f.Src, Dst: f.Dst,
-		SrcServer:  n.cl.GPUs[f.Src].Server,
-		DstServer:  n.cl.GPUs[f.Dst].Server,
+		ID:   f.id,
+		Name: f.name,
+		Src:  f.src, Dst: f.dst,
+		SrcServer:  n.cl.GPUs[f.src].Server,
+		DstServer:  n.cl.GPUs[f.dst].Server,
 		Bits:       f.origBits,
 		Start:      f.requested,
 		End:        n.eng.Now(),
@@ -304,7 +305,7 @@ func (x *CrossTraffic) burst(i int, p [2]int, until sim.Time) {
 	}
 	x.BitsInjected += float64(x.cfg.BurstBytes) * 8
 	x.net.startFlow(p[0], p[1], x.cfg.BurstBytes, x.cfg.Weight,
-		fmt.Sprintf("xt%d/burst", i), true, func() {
+		Namef("xt%d/burst", i), true, func() {
 			x.burst(i, p, until)
 		})
 }

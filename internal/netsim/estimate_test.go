@@ -48,8 +48,8 @@ func TestStartWeightedFlowNormalizesNonPositiveWeight(t *testing.T) {
 	// route must finish together regardless of a negative weight.
 	eng, _, net := newNet(10)
 	var a, b sim.Time = -1, -1
-	net.StartWeightedFlow(0, 2, 6.25e8, -3, "neg", func() { a = eng.Now() })
-	net.StartWeightedFlow(1, 3, 6.25e8, 1, "pos", func() { b = eng.Now() })
+	net.StartWeightedFlow(0, 2, 6.25e8, -3, Label("neg"), func() { a = eng.Now() })
+	net.StartWeightedFlow(1, 3, 6.25e8, 1, Label("pos"), func() { b = eng.Now() })
 	eng.RunAll()
 	if a < 0 || b < 0 {
 		t.Fatal("flows did not complete")

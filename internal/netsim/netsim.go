@@ -9,9 +9,17 @@
 // heterogeneous, fluctuating, possibly parameter-server-based — diverges
 // from that model. This package provides the reality; the planner keeps
 // its simplifying assumptions.
+//
+// A job's steady state allocates nothing per flow. Flow state is
+// recycled through a per-network free list, so callers hold a FlowID,
+// never a pointer: an ID is valid until its flow finishes or is
+// cancelled, and a stale ID is a no-op. A flow's Name is kept as parts
+// and rendered only where it is read — the fault hook, StallMatching and
+// FlowRecord consumers.
 package netsim
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"strings"
@@ -20,23 +28,32 @@ import (
 	"autopipe/internal/sim"
 )
 
-// Flow is one in-flight transfer.
-type Flow struct {
-	ID       uint64
-	Name     string
-	Src, Dst int
-	// Weight is the flow's share weight in the weighted max-min
+// FlowID is a handle on a started flow, for CancelFlow; 0 is no flow.
+// It is valid until the flow finishes or is cancelled: flow state is
+// recycled after that, and a stale ID is a no-op.
+type FlowID uint64
+
+// flow is one transfer from StartFlow until it finishes, is cancelled or
+// is dropped. Flow structs are recycled through the network's free list,
+// so no *flow leaves the package: callers hold a FlowID, which carries
+// the struct's slot and the generation it was issued in.
+type flow struct {
+	// id is the injection order, assigned when the flow enters the
+	// allocator: it orders n.flows, freezing and completion callbacks.
+	id       uint64
+	name     Name
+	src, dst int
+	// weight is the flow's share weight in the weighted max-min
 	// allocation (1 by default). Communication scheduling à la
 	// ByteScheduler gives latency-sensitive pipeline transfers more
 	// weight than bulk gradient syncs.
-	Weight float64
+	weight float64
 	// remaining and original bits
 	remaining float64
 	origBits  float64
 	rate      float64 // bits/sec, assigned by the fair-share computation
 	path      path
 	done      func()
-	started   sim.Time
 	// requested is when the caller asked for the transfer — before any
 	// propagation or queueing delay. Completion records measure from
 	// here: that is the latency the job's transport layer experiences.
@@ -47,16 +64,22 @@ type Flow struct {
 	// stalled flows hold their state but receive no bandwidth and never
 	// finish (fault injection); CancelFlow removes them like any other.
 	stalled bool
+	// waiting flows are still waiting out their propagation/queueing
+	// delay; they are not yet in the allocator.
+	waiting bool
+	// slot indexes Network.slab; gen counts the struct's releases, so a
+	// FlowID issued before a release no longer matches.
+	slot uint32
+	gen  uint32
+	// prop fires when the flow's delay has passed and injects it; built
+	// on first use and re-armed for every delayed flow this struct holds.
+	prop *sim.Event
 }
 
-// Stalled reports whether the flow has been fault-stalled.
-func (f *Flow) Stalled() bool { return f.stalled }
-
-// Remaining returns the flow's remaining bits (for tests/inspection).
-func (f *Flow) Remaining() float64 { return f.remaining }
-
-// Rate returns the flow's current bits/sec share.
-func (f *Flow) Rate() float64 { return f.rate }
+// handle returns the flow's current FlowID.
+func (f *flow) handle() FlowID {
+	return FlowID(uint64(f.gen)<<32 | uint64(f.slot+1))
+}
 
 // path is a route as dense link indices, stored inline: at most four
 // hops (NIC up, NIC down and, across racks, the two rack core links).
@@ -84,8 +107,12 @@ type Network struct {
 
 	// flows holds the active flows in ID order (IDs only grow, so
 	// injection appends).
-	flows      []*Flow
-	nextID     uint64
+	flows  []*flow
+	nextID uint64
+	// slab holds every flow struct made, indexed by slot; free the
+	// released ones, reused before any new one is made.
+	slab       []*flow
+	free       []*flow
 	lastUpdate sim.Time
 	// completion is the next-flow-completion event, re-armed by every
 	// reschedule; onCompletion is its callback, bound once.
@@ -98,8 +125,8 @@ type Network struct {
 	// flows.
 	links    []linkState
 	touched  []int32
-	unfrozen []*Flow
-	finished []*Flow
+	unfrozen []*flow
+	finished []*flow
 
 	// TotalBitsDelivered accumulates finished-flow volume (telemetry).
 	TotalBitsDelivered float64
@@ -112,7 +139,7 @@ type Network struct {
 
 	// fault, when set, is consulted once per injected flow (see
 	// SetFaultInjector).
-	fault func(src, dst int, name string) FlowFault
+	fault func(src, dst int, name Name) FlowFault
 
 	// queue, when non-nil, enables the per-link queueing model (see
 	// EnableQueueing in congestion.go): contended links accumulate
@@ -142,10 +169,10 @@ const (
 )
 
 // SetFaultInjector installs fn, consulted once per flow at injection
-// time (nil disables). Local (same-worker or zero-byte) transfers bypass
-// the fair-share allocator entirely and therefore also bypass fault
-// injection.
-func (n *Network) SetFaultInjector(fn func(src, dst int, name string) FlowFault) {
+// time (nil disables). The hook renders the name only if it reads it.
+// Local (same-worker or zero-byte) transfers bypass the fair-share
+// allocator entirely and therefore also bypass fault injection.
+func (n *Network) SetFaultInjector(fn func(src, dst int, name Name) FlowFault) {
 	n.fault = fn
 }
 
@@ -156,7 +183,7 @@ func (n *Network) StallMatching(substr string) int {
 	n.advance()
 	hit := 0
 	for _, f := range n.flows {
-		if !f.stalled && strings.Contains(f.Name, substr) {
+		if !f.stalled && strings.Contains(f.name.String(), substr) {
 			f.stalled = true
 			hit++
 		}
@@ -247,8 +274,9 @@ func (n *Network) route(src, dst int) path {
 
 // StartFlow begins transferring bytes from src to dst and invokes done
 // (may be nil) when the last bit arrives. Zero-byte and same-worker flows
-// complete after a negligible local-copy delay.
-func (n *Network) StartFlow(src, dst int, bytes int64, name string, done func()) *Flow {
+// complete after a negligible local-copy delay and return 0: they cannot
+// be cancelled. A flow dropped by the fault injector also returns 0.
+func (n *Network) StartFlow(src, dst int, bytes int64, name Name, done func()) FlowID {
 	return n.startFlow(src, dst, bytes, 1, name, false, done)
 }
 
@@ -256,87 +284,136 @@ func (n *Network) StartFlow(src, dst int, bytes int64, name string, done func())
 // congested link a weight-w flow receives w times the bandwidth of a
 // weight-1 flow (weighted max-min fairness). Weights ≤ 0 are treated
 // as 1.
-func (n *Network) StartWeightedFlow(src, dst int, bytes int64, weight float64, name string, done func()) *Flow {
+func (n *Network) StartWeightedFlow(src, dst int, bytes int64, weight float64, name Name, done func()) FlowID {
 	return n.startFlow(src, dst, bytes, weight, name, false, done)
 }
 
+// noop is the completion of a local flow started without a callback.
+func noop() {}
+
 // startFlow is the shared entry for job and background flows. A flow
 // first waits out any fixed propagation delay plus the route's current
-// queueing delay, then enters the fair-share allocator.
+// queueing delay, then enters the fair-share allocator. Its handle is
+// live through the wait, so cancelling a waiting flow drops it before it
+// ever moves a bit.
 //
 // Its timer events carry constant per-kind labels ("netsim/local",
 // "netsim/prop"): the flow's own name, which fault hooks, stalls and
 // flow records match on, travels with the flow, not the event.
-func (n *Network) startFlow(src, dst int, bytes int64, weight float64, name string, background bool, done func()) *Flow {
+func (n *Network) startFlow(src, dst int, bytes int64, weight float64, name Name, background bool, done func()) FlowID {
 	if bytes <= 0 || src == dst {
 		latency := sim.Time(float64(bytes*8) / (n.cl.IntraServerBwBps * 4))
-		n.eng.After(latency, "netsim/local", func() {
-			if done != nil {
-				done()
-			}
-		})
-		return nil
+		if done == nil {
+			done = noop
+		}
+		n.eng.After(latency, "netsim/local", done)
+		return 0
 	}
 	if weight <= 0 {
 		weight = 1
 	}
-	requested := n.eng.Now()
-	p := n.route(src, dst)
-	wait := n.PerHopLatencySec * float64(p.n)
+	f := n.alloc()
+	f.name, f.src, f.dst, f.weight = name, src, dst, weight
+	f.remaining, f.origBits = float64(bytes*8), float64(bytes*8)
+	f.done, f.requested, f.background = done, n.eng.Now(), background
+	f.path = n.route(src, dst)
+	id := f.handle()
+	wait := n.PerHopLatencySec * float64(f.path.n)
 	if n.queue != nil {
-		wait += n.queue.routeDelay(&p)
+		wait += n.queue.routeDelay(&f.path)
 	}
 	if wait > 0 {
-		n.eng.After(sim.Time(wait), "netsim/prop", func() {
-			n.injectFlow(src, dst, p, bytes, weight, name, requested, background, done)
-		})
-		return nil
+		f.waiting = true
+		if f.prop == nil {
+			f.prop = sim.NewEvent("netsim/prop", func() { n.inject(f) })
+		}
+		n.eng.Reschedule(f.prop, sim.Time(wait))
+		return id
 	}
-	return n.injectFlow(src, dst, p, bytes, weight, name, requested, background, done)
+	if !n.inject(f) {
+		return 0
+	}
+	return id
 }
 
-// injectFlow registers the flow with the fair-share allocator.
-func (n *Network) injectFlow(src, dst int, p path, bytes int64, weight float64, name string, requested sim.Time, background bool, done func()) *Flow {
-	var fault FlowFault
-	if n.fault != nil {
-		fault = n.fault(src, dst, name)
+// alloc takes a flow struct off the free list, or makes one.
+func (n *Network) alloc() *flow {
+	if k := len(n.free); k > 0 {
+		f := n.free[k-1]
+		n.free[k-1] = nil
+		n.free = n.free[:k-1]
+		return f
 	}
-	if fault == FaultDrop {
-		return nil
-	}
-	n.advance()
-	f := &Flow{
-		ID:         n.nextID,
-		Name:       name,
-		Src:        src,
-		Dst:        dst,
-		Weight:     weight,
-		remaining:  float64(bytes * 8),
-		origBits:   float64(bytes * 8),
-		path:       p,
-		done:       done,
-		started:    n.eng.Now(),
-		requested:  requested,
-		background: background,
-		stalled:    fault == FaultStall,
-	}
-	n.nextID++
-	n.flows = append(n.flows, f)
-	n.reschedule()
+	f := &flow{slot: uint32(len(n.slab))}
+	n.slab = append(n.slab, f)
 	return f
 }
 
-// CancelFlow aborts an in-flight flow without firing its callback.
-func (n *Network) CancelFlow(f *Flow) {
+// release returns a flow struct to the free list and invalidates every
+// FlowID issued for it.
+func (n *Network) release(f *flow) {
+	prop, slot, gen := f.prop, f.slot, f.gen+1
+	*f = flow{prop: prop, slot: slot, gen: gen}
+	n.free = append(n.free, f)
+}
+
+// lookup returns the flow id refers to, or nil when id is 0 or stale:
+// release bumps the struct's generation past every ID issued for it.
+func (n *Network) lookup(id FlowID) *flow {
+	slot := uint32(id) - 1
+	if id == 0 || int(slot) >= len(n.slab) {
+		return nil
+	}
+	if f := n.slab[slot]; f.gen == uint32(id>>32) {
+		return f
+	}
+	return nil
+}
+
+// inject registers the flow with the fair-share allocator, assigning
+// its ID, or drops and releases it when the fault injector says so.
+func (n *Network) inject(f *flow) bool {
+	var fault FlowFault
+	if n.fault != nil {
+		fault = n.fault(f.src, f.dst, f.name)
+	}
+	if fault == FaultDrop {
+		n.release(f)
+		return false
+	}
+	n.advance()
+	f.id = n.nextID
+	n.nextID++
+	f.stalled = fault == FaultStall
+	f.waiting = false
+	n.flows = append(n.flows, f)
+	n.reschedule()
+	return true
+}
+
+// CancelFlow aborts a flow without firing its callback: an active flow
+// leaves the allocator, a waiting one is never injected. A stale or zero
+// ID is a no-op, and so is the ID of a flow whose completion callbacks
+// are running: it has already left n.flows.
+func (n *Network) CancelFlow(id FlowID) {
+	f := n.lookup(id)
 	if f == nil {
 		return
 	}
-	i := slices.Index(n.flows, f)
-	if i < 0 {
+	if f.waiting {
+		n.eng.Cancel(f.prop)
+		n.release(f)
+		return
+	}
+	i, ok := slices.BinarySearchFunc(n.flows, f.id, func(g *flow, id uint64) int {
+		return cmp.Compare(g.id, id)
+	})
+	if !ok {
 		return
 	}
 	n.advance()
 	n.flows = slices.Delete(n.flows, i, i+1)
+	n.release(f)
 	n.reschedule()
 }
 
@@ -419,6 +496,10 @@ func (n *Network) reschedule() {
 				f.done()
 			}
 		}
+		// Only now, with every callback run, may the structs be reused.
+		for _, f := range finished {
+			n.release(f)
+		}
 		clear(finished)
 		n.finished = finished[:0]
 		// Callbacks may have started new flows; recompute afresh.
@@ -477,7 +558,7 @@ func (n *Network) computeRates() {
 				ls.cap = n.capacity(l)
 				n.touched = append(n.touched, l)
 			}
-			ls.unfrozen += f.Weight
+			ls.unfrozen += f.weight
 			ls.count++
 			ls.live++
 		}
@@ -540,7 +621,7 @@ func (n *Network) computeRates() {
 
 // onBottleneck reports whether any of f's links offers at most the
 // bottleneck per-weight share min.
-func (n *Network) onBottleneck(f *Flow, min float64) bool {
+func (n *Network) onBottleneck(f *flow, min float64) bool {
 	for _, l := range f.path.links() {
 		ls := &n.links[l]
 		if (ls.cap-ls.frozen)/ls.unfrozen <= min*(1+1e-12) {
@@ -552,12 +633,12 @@ func (n *Network) onBottleneck(f *Flow, min float64) bool {
 
 // freeze fixes f's rate at weight × the per-weight share and charges it
 // to every link on its path.
-func (n *Network) freeze(f *Flow, share float64) {
-	f.rate = share * f.Weight
+func (n *Network) freeze(f *flow, share float64) {
+	f.rate = share * f.weight
 	for _, l := range f.path.links() {
 		ls := &n.links[l]
 		ls.frozen += f.rate
-		ls.unfrozen -= f.Weight
+		ls.unfrozen -= f.weight
 		ls.live--
 	}
 }

@@ -21,7 +21,7 @@ func TestSingleFlowTime(t *testing.T) {
 	var doneAt sim.Time = -1
 	// 1.25e9 bytes = 1e10 bits over 10 Gbps = 1 s. GPUs 0 and 2 are on
 	// different servers.
-	net.StartFlow(0, 2, 1.25e9, "t", func() { doneAt = eng.Now() })
+	net.StartFlow(0, 2, 1.25e9, Label("t"), func() { doneAt = eng.Now() })
 	eng.RunAll()
 	if math.Abs(float64(doneAt)-1.0) > 1e-9 {
 		t.Fatalf("flow finished at %v, want 1.0", doneAt)
@@ -31,11 +31,11 @@ func TestSingleFlowTime(t *testing.T) {
 func TestIntraServerFlowFaster(t *testing.T) {
 	eng, _, net := newNet(10)
 	var intra, inter sim.Time
-	net.StartFlow(0, 1, 1e9, "intra", func() { intra = eng.Now() })
+	net.StartFlow(0, 1, 1e9, Label("intra"), func() { intra = eng.Now() })
 	eng.RunAll()
 	eng2 := sim.NewEngine()
 	net2 := New(eng2, cluster.Testbed(cluster.Gbps(10)))
-	net2.StartFlow(0, 2, 1e9, "inter", func() { inter = eng2.Now() })
+	net2.StartFlow(0, 2, 1e9, Label("inter"), func() { inter = eng2.Now() })
 	eng2.RunAll()
 	if intra >= inter {
 		t.Fatalf("intra %v not faster than inter %v", intra, inter)
@@ -47,8 +47,8 @@ func TestTwoFlowsShareLink(t *testing.T) {
 	var first, second sim.Time
 	// Both flows leave server 0 (GPU 0 and GPU 1) to distinct servers;
 	// they share the server-0 uplink, so each gets 5 Gbps.
-	net.StartFlow(0, 2, 1.25e9, "a", func() { first = eng.Now() })
-	net.StartFlow(1, 4, 1.25e9, "b", func() { second = eng.Now() })
+	net.StartFlow(0, 2, 1.25e9, Label("a"), func() { first = eng.Now() })
+	net.StartFlow(1, 4, 1.25e9, Label("b"), func() { second = eng.Now() })
 	eng.RunAll()
 	if math.Abs(float64(first)-2.0) > 1e-6 || math.Abs(float64(second)-2.0) > 1e-6 {
 		t.Fatalf("shared flows finished at %v, %v; want 2.0 each", first, second)
@@ -60,8 +60,8 @@ func TestFlowCompletionFreesBandwidth(t *testing.T) {
 	var bigDone sim.Time
 	// Small flow shares the uplink for its lifetime; after it ends the
 	// big flow gets the full link.
-	net.StartFlow(0, 2, 1.25e9/2, "small", nil) // 0.5e10 bits
-	net.StartFlow(1, 4, 1.25e9, "big", func() { bigDone = eng.Now() })
+	net.StartFlow(0, 2, 1.25e9/2, Label("small"), nil) // 0.5e10 bits
+	net.StartFlow(1, 4, 1.25e9, Label("big"), func() { bigDone = eng.Now() })
 	eng.RunAll()
 	// small: shares at 5G until done at t=1 (5e9 bits at 5e9 b/s).
 	// big: t=1 has 5e9 bits left, now at 10G → finishes at 1.5.
@@ -73,7 +73,7 @@ func TestFlowCompletionFreesBandwidth(t *testing.T) {
 func TestCapacityChangeMidFlow(t *testing.T) {
 	eng, cl, net := newNet(10)
 	var doneAt sim.Time
-	net.StartFlow(0, 2, 1.25e9, "x", func() { doneAt = eng.Now() })
+	net.StartFlow(0, 2, 1.25e9, Label("x"), func() { doneAt = eng.Now() })
 	eng.Schedule(0.5, "halve", func() {
 		cl.SetNICBandwidth(cluster.Gbps(5))
 		net.OnCapacityChange()
@@ -88,8 +88,8 @@ func TestCapacityChangeMidFlow(t *testing.T) {
 func TestSameWorkerFlowIsLocal(t *testing.T) {
 	eng, _, net := newNet(10)
 	done := false
-	f := net.StartFlow(3, 3, 1e9, "local", func() { done = true })
-	if f != nil {
+	f := net.StartFlow(3, 3, 1e9, Label("local"), func() { done = true })
+	if f != 0 {
 		t.Fatal("same-worker transfer should not create a network flow")
 	}
 	eng.RunAll()
@@ -101,7 +101,7 @@ func TestSameWorkerFlowIsLocal(t *testing.T) {
 func TestZeroByteFlow(t *testing.T) {
 	eng, _, net := newNet(10)
 	done := false
-	net.StartFlow(0, 2, 0, "zero", func() { done = true })
+	net.StartFlow(0, 2, 0, Label("zero"), func() { done = true })
 	eng.RunAll()
 	if !done {
 		t.Fatal("zero-byte flow callback never fired")
@@ -111,7 +111,7 @@ func TestZeroByteFlow(t *testing.T) {
 func TestCancelFlow(t *testing.T) {
 	eng, _, net := newNet(10)
 	fired := false
-	f := net.StartFlow(0, 2, 1e12, "doomed", func() { fired = true })
+	f := net.StartFlow(0, 2, 1e12, Label("doomed"), func() { fired = true })
 	eng.Schedule(0.1, "cancel", func() { net.CancelFlow(f) })
 	eng.RunAll()
 	if fired {
@@ -128,7 +128,7 @@ func TestPSSyncCompletesAndTiming(t *testing.T) {
 	// Workers 0,2,4 on three distinct servers; PS = worker 0.
 	// Push: 2 flows into server0 downlink, each 1.25e9 B = 1e10 bits
 	// sharing 10G downlink → 2s. Pull: 2 flows out of server0 uplink → 2s.
-	net.Sync(ParameterServer, []int{0, 2, 4}, 1.25e9, "ps", func() { doneAt = eng.Now() })
+	net.Sync(ParameterServer, []int{0, 2, 4}, 1.25e9, Label("ps"), func() { doneAt = eng.Now() })
 	eng.RunAll()
 	if math.Abs(float64(doneAt)-4.0) > 1e-6 {
 		t.Fatalf("PS sync finished at %v, want 4.0", doneAt)
@@ -141,7 +141,7 @@ func TestRingAllReduceCompletesAndTiming(t *testing.T) {
 	// Ring over 0,2,4 (three servers): chunk = bytes/3, 4 steps.
 	// Each step: three disjoint server pairs, each chunk at 10G.
 	bytes := int64(3.75e9) // chunk 1.25e9 B = 1e10 bits → 1 s/step
-	net.Sync(RingAllReduce, []int{0, 2, 4}, bytes, "ring", func() { doneAt = eng.Now() })
+	net.Sync(RingAllReduce, []int{0, 2, 4}, bytes, Label("ring"), func() { doneAt = eng.Now() })
 	eng.RunAll()
 	if math.Abs(float64(doneAt)-4.0) > 1e-6 {
 		t.Fatalf("ring all-reduce finished at %v, want 4.0 (4 steps × 1s)", doneAt)
@@ -151,8 +151,8 @@ func TestRingAllReduceCompletesAndTiming(t *testing.T) {
 func TestSyncSingleWorkerNoop(t *testing.T) {
 	eng, _, net := newNet(10)
 	done := 0
-	net.Sync(ParameterServer, []int{3}, 1e9, "solo", func() { done++ })
-	net.Sync(RingAllReduce, []int{3}, 1e9, "solo", func() { done++ })
+	net.Sync(ParameterServer, []int{3}, 1e9, Label("solo"), func() { done++ })
+	net.Sync(RingAllReduce, []int{3}, 1e9, Label("solo"), func() { done++ })
 	eng.RunAll()
 	if done != 2 {
 		t.Fatalf("single-worker syncs fired %d callbacks, want 2", done)
@@ -222,7 +222,7 @@ func TestQuickFairShareConservation(t *testing.T) {
 			if src == dst {
 				dst = (dst + 1) % cl.NumGPUs()
 			}
-			net.StartFlow(src, dst, int64(1e8+r.Int63n(1e9)), "q", nil)
+			net.StartFlow(src, dst, int64(1e8+r.Int63n(1e9)), Label("q"), nil)
 		}
 		// After scheduling, rates are assigned. Verify no link exceeded.
 		if !withinCapacity(net) {
@@ -249,7 +249,7 @@ func TestQuickVolumeConservation(t *testing.T) {
 			b := int64(1e7 + r.Int63n(1e8))
 			if src != dst {
 				injected += float64(b * 8)
-				net.StartFlow(src, dst, b, "v", nil)
+				net.StartFlow(src, dst, b, Label("v"), nil)
 			}
 		}
 		eng.RunAll()
@@ -266,7 +266,7 @@ func TestDeterministicCompletionOrder(t *testing.T) {
 		var order []string
 		for i, pair := range [][2]int{{0, 2}, {1, 4}, {2, 6}, {3, 8}} {
 			name := string(rune('a' + i))
-			net.StartFlow(pair[0], pair[1], 1e9, name, func() { order = append(order, name) })
+			net.StartFlow(pair[0], pair[1], 1e9, Label(name), func() { order = append(order, name) })
 		}
 		eng.RunAll()
 		return order
@@ -301,7 +301,7 @@ func TestRackUplinkOversubscription(t *testing.T) {
 			if !crossRack {
 				dst = 2 * ((i + 1) % 4) // stay in rack 0
 			}
-			net.StartFlow(src, dst, 1.25e9, "rk", func() { last = eng.Now() })
+			net.StartFlow(src, dst, 1.25e9, Label("rk"), func() { last = eng.Now() })
 		}
 		eng.RunAll()
 		return last
@@ -318,7 +318,7 @@ func TestSingleSwitchHasNoRackLinks(t *testing.T) {
 	cl := cluster.Testbed(cluster.Gbps(10))
 	net := New(eng, cl)
 	var done sim.Time
-	net.StartFlow(0, 2, 1.25e9, "flat", func() { done = eng.Now() })
+	net.StartFlow(0, 2, 1.25e9, Label("flat"), func() { done = eng.Now() })
 	eng.RunAll()
 	if math.Abs(float64(done)-1.0) > 1e-6 {
 		t.Fatalf("single-switch flow took %v, want 1.0", done)
@@ -345,8 +345,8 @@ func TestWeightedSharing(t *testing.T) {
 	var hiDone, loDone sim.Time
 	// Two flows share server-0's uplink; the weight-3 flow gets 7.5G,
 	// the weight-1 flow 2.5G.
-	net.StartWeightedFlow(0, 2, 1.25e9, 3, "hi", func() { hiDone = eng.Now() })
-	net.StartWeightedFlow(1, 4, 1.25e9, 1, "lo", func() { loDone = eng.Now() })
+	net.StartWeightedFlow(0, 2, 1.25e9, 3, Label("hi"), func() { hiDone = eng.Now() })
+	net.StartWeightedFlow(1, 4, 1.25e9, 1, Label("lo"), func() { loDone = eng.Now() })
 	eng.RunAll()
 	// hi: 1e10 bits at 7.5G → 4/3 s. After it ends, lo has
 	// 1e10 − 2.5e9·4/3 = 6.67e9 bits at full 10G → +0.667s ⇒ 2.0s.
@@ -361,7 +361,7 @@ func TestWeightedSharing(t *testing.T) {
 func TestWeightZeroTreatedAsOne(t *testing.T) {
 	eng, _, net := newNet(10)
 	var done sim.Time
-	net.StartWeightedFlow(0, 2, 1.25e9, 0, "z", func() { done = eng.Now() })
+	net.StartWeightedFlow(0, 2, 1.25e9, 0, Label("z"), func() { done = eng.Now() })
 	eng.RunAll()
 	if math.Abs(float64(done)-1.0) > 1e-6 {
 		t.Fatalf("zero-weight flow finished at %v, want 1.0", done)
@@ -376,7 +376,7 @@ func TestQuickWeightedConservation(t *testing.T) {
 		for i := 0; i < 1+r.Intn(6); i++ {
 			src := r.Intn(cl.NumGPUs())
 			dst := (src + 1 + r.Intn(cl.NumGPUs()-1)) % cl.NumGPUs()
-			net.StartWeightedFlow(src, dst, int64(1e8+r.Int63n(1e9)), 0.5+4*r.Float64(), "w", nil)
+			net.StartWeightedFlow(src, dst, int64(1e8+r.Int63n(1e9)), 0.5+4*r.Float64(), Label("w"), nil)
 		}
 		if !withinCapacity(net) {
 			return false
@@ -395,7 +395,7 @@ func TestPerHopLatency(t *testing.T) {
 	var done sim.Time
 	// Cross-server flow: 2 hops (src up + dst down) → 0.2s latency
 	// before the 1.0s transfer.
-	net.StartFlow(0, 2, 1.25e9, "lat", func() { done = eng.Now() })
+	net.StartFlow(0, 2, 1.25e9, Label("lat"), func() { done = eng.Now() })
 	eng.RunAll()
 	if math.Abs(float64(done)-1.2) > 1e-6 {
 		t.Fatalf("flow with latency finished at %v, want 1.2", done)
@@ -407,7 +407,7 @@ func TestPerHopLatencyPenalisesChattyRing(t *testing.T) {
 		eng, _, net := newNet(10)
 		net.PerHopLatencySec = lat
 		var done sim.Time
-		net.Sync(RingAllReduce, []int{0, 2, 4, 6}, 4e8, "chatty", func() { done = eng.Now() })
+		net.Sync(RingAllReduce, []int{0, 2, 4, 6}, 4e8, Label("chatty"), func() { done = eng.Now() })
 		eng.RunAll()
 		return float64(done)
 	}
@@ -427,26 +427,26 @@ func oracleRates(n *Network) map[uint64]float64 {
 	}
 	rates := make(map[uint64]float64, len(n.flows))
 	links := make(map[int32]*linkState)
-	unfrozen := make(map[uint64]*Flow, len(n.flows))
+	unfrozen := make(map[uint64]*flow, len(n.flows))
 	for _, f := range n.flows {
-		rates[f.ID] = 0
+		rates[f.id] = 0
 		if f.stalled {
 			continue
 		}
-		unfrozen[f.ID] = f
+		unfrozen[f.id] = f
 		for _, l := range f.path.links() {
 			if _, ok := links[l]; !ok {
 				links[l] = &linkState{cap: n.capacity(l)}
 			}
-			links[l].unfrozen += f.Weight
+			links[l].unfrozen += f.weight
 			links[l].count++
 		}
 	}
-	freeze := func(id uint64, f *Flow, min float64) {
-		rates[id] = min * f.Weight
+	freeze := func(id uint64, f *flow, min float64) {
+		rates[id] = min * f.weight
 		for _, l := range f.path.links() {
 			links[l].frozen += rates[id]
-			links[l].unfrozen -= f.Weight
+			links[l].unfrozen -= f.weight
 		}
 		delete(unfrozen, id)
 	}
@@ -505,7 +505,7 @@ func randomFlows(r *rand.Rand, weight func() float64) *Network {
 	for _, s := range cl.Servers {
 		s.ExtShare = 0.6 * r.Float64()
 	}
-	net.SetFaultInjector(func(int, int, string) FlowFault {
+	net.SetFaultInjector(func(int, int, Name) FlowFault {
 		if r.Intn(8) == 0 {
 			return FaultStall
 		}
@@ -514,7 +514,7 @@ func randomFlows(r *rand.Rand, weight func() float64) *Network {
 	for i, nf := 0, 1+r.Intn(16); i < nf; i++ {
 		src := r.Intn(cl.NumGPUs())
 		dst := (src + 1 + r.Intn(cl.NumGPUs()-1)) % cl.NumGPUs()
-		net.StartWeightedFlow(src, dst, int64(1e8+r.Int63n(1e9)), weight(), "o", nil)
+		net.StartWeightedFlow(src, dst, int64(1e8+r.Int63n(1e9)), weight(), Label("o"), nil)
 	}
 	return net
 }
@@ -540,13 +540,13 @@ func TestComputeRatesMatchesMapOracle(t *testing.T) {
 		})
 		want := oracleRates(net)
 		for _, f := range net.flows {
-			got, exp := f.rate, want[f.ID]
+			got, exp := f.rate, want[f.id]
 			if weighted {
 				if math.Abs(got-exp) > 1e-12*math.Abs(exp) {
-					t.Fatalf("seed %d: weighted flow %d rate %v, oracle %v", seed, f.ID, got, exp)
+					t.Fatalf("seed %d: weighted flow %d rate %v, oracle %v", seed, f.id, got, exp)
 				}
 			} else if math.Float64bits(got) != math.Float64bits(exp) {
-				t.Fatalf("seed %d: flow %d rate %v, oracle %v (bitwise)", seed, f.ID, got, exp)
+				t.Fatalf("seed %d: flow %d rate %v, oracle %v (bitwise)", seed, f.id, got, exp)
 			}
 		}
 	}
@@ -570,7 +570,7 @@ func TestQuickWeightedMaxMinFair(t *testing.T) {
 		for _, f := range net.flows {
 			for _, l := range f.path.links() {
 				load[l] += f.rate
-				share[l] = math.Max(share[l], f.rate/f.Weight)
+				share[l] = math.Max(share[l], f.rate/f.weight)
 			}
 		}
 		for _, f := range net.flows {
@@ -580,12 +580,12 @@ func TestQuickWeightedMaxMinFair(t *testing.T) {
 			bottlenecked := false
 			for _, l := range f.path.links() {
 				saturated := load[l] >= net.capacity(l)*(1-1e-9)
-				if saturated && f.rate/f.Weight >= share[l]*(1-1e-9) {
+				if saturated && f.rate/f.weight >= share[l]*(1-1e-9) {
 					bottlenecked = true
 				}
 			}
 			if !bottlenecked {
-				t.Fatalf("seed %d: flow %d at %v has no bottleneck link", seed, f.ID, f.rate)
+				t.Fatalf("seed %d: flow %d at %v has no bottleneck link", seed, f.id, f.rate)
 			}
 		}
 	}
@@ -612,7 +612,7 @@ func congestedRun() []FlowRecord {
 		}
 		src := (3 * i) % cl.NumGPUs()
 		dst := (src + 5 + i%4) % cl.NumGPUs()
-		net.StartWeightedFlow(src, dst, int64(5e7+1e7*(i%7)), weights[i%len(weights)], "job", func() {
+		net.StartWeightedFlow(src, dst, int64(5e7+1e7*(i%7)), weights[i%len(weights)], Label("job"), func() {
 			chain(i+1, left-1)
 		})
 	}
@@ -656,7 +656,7 @@ func TestRescheduleZeroAllocs(t *testing.T) {
 	_, cl, net := twoRackNet()
 	net.EnableQueueing(QueueConfig{})
 	stall := true
-	net.SetFaultInjector(func(int, int, string) FlowFault {
+	net.SetFaultInjector(func(int, int, Name) FlowFault {
 		if stall {
 			stall = false
 			return FaultStall
@@ -666,7 +666,7 @@ func TestRescheduleZeroAllocs(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		src := i % cl.NumGPUs()
 		dst := (src + 3) % cl.NumGPUs()
-		net.StartWeightedFlow(src, dst, 1e9, 1+float64(i%3), "z", nil)
+		net.StartWeightedFlow(src, dst, 1e9, 1+float64(i%3), Label("z"), nil)
 	}
 	net.reschedule()
 	if n := testing.AllocsPerRun(200, net.reschedule); n != 0 {

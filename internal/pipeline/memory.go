@@ -9,18 +9,20 @@ package pipeline
 // the "double-buffered weights" of the paper's related work. This file
 // measures both effects, per worker, during execution.
 
+import "slices"
+
 // memoryUsage returns the replica's current weight + activation memory.
 func (r *replica) memoryUsage(e *AsyncEngine) int64 {
-	var params, acts int64
-	for l := r.stage.start; l < r.stage.end; l++ {
-		params += e.cfg.Model.Layers[l].ParamBytes()
-		acts += e.cfg.Model.Layers[l].OutputBytes(e.cfg.Model.MiniBatch)
-	}
-	// Distinct stashed weight versions plus the committed one.
-	versions := map[int]bool{r.version: true}
+	params, acts := e.totals(r.stage)
+	// Distinct stashed weight versions plus the committed one, counted
+	// in the engine's reused scratch slice.
+	versions := append(e.versions[:0], r.version)
 	for _, v := range r.stash {
-		versions[v] = true
+		if !slices.Contains(versions, v) {
+			versions = append(versions, v)
+		}
 	}
+	e.versions = versions
 	// One activation buffer per in-flight batch on this replica.
 	return params*int64(len(versions)) + acts*int64(len(r.stash))
 }

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"maps"
 	"testing"
 
 	"autopipe/internal/cluster"
@@ -74,5 +75,77 @@ func TestMemoryDeterministic(t *testing.T) {
 	_, b := measureMemory(t, 2, 4, 15)
 	if a != b {
 		t.Fatalf("nondeterministic memory: %d vs %d", a, b)
+	}
+}
+
+// oracleMemoryUsage is the map-based memoryUsage that the cached stage
+// totals and the scratch version count replaced, kept as a test oracle:
+// it re-sums the stage's layers and collects the distinct weight
+// versions in a map on every call.
+func oracleMemoryUsage(r *replica, e *AsyncEngine) int64 {
+	var params, acts int64
+	for l := r.stage.start; l < r.stage.end; l++ {
+		params += e.cfg.Model.Layers[l].ParamBytes()
+		acts += e.cfg.Model.Layers[l].OutputBytes(e.cfg.Model.MiniBatch)
+	}
+	versions := map[int]bool{r.version: true}
+	for _, v := range r.stash {
+		versions[v] = true
+	}
+	return params*int64(len(versions)) + acts*int64(len(r.stash))
+}
+
+// TestPeakMemoryMatchesMapOracleAcrossFineGrainedSwitch: a fine-grained
+// switch moves stage bounds in place mid-run; every worker's
+// PeakMemoryBytes must still equal the peak of the map-based oracle,
+// sampled whenever the worker's stash or weight version changes (the
+// points where the engine records memory). Totals cached on the old
+// bounds would under-count the grown stage after the commit.
+func TestPeakMemoryMatchesMapOracleAcrossFineGrainedSwitch(t *testing.T) {
+	cfg := basicConfig(25, 4)
+	cfg.Plan.InFlight = 4
+	eng := sim.NewEngine()
+	e, err := NewAsync(eng, netsim.New(eng, cfg.Cluster), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batches = 40
+	np := boundaryShiftPlan()
+	var res *SwitchResult
+	e.OnBatchDone(func(batch int, at sim.Time) {
+		if batch == batches/4 {
+			if err := e.ApplyPlan(np, SwitchFineGrained, func(r SwitchResult) { res = &r }); err != nil {
+				t.Errorf("ApplyPlan: %v", err)
+			}
+		}
+	})
+	type state struct {
+		version int
+		stash   map[int]int
+	}
+	seen := map[int]state{}
+	want := map[int]int64{}
+	e.Start(batches)
+	for eng.Step() {
+		for w, r := range e.byWorker {
+			s, ok := seen[w]
+			if ok && s.version == r.version && maps.Equal(s.stash, r.stash) {
+				continue
+			}
+			seen[w] = state{r.version, maps.Clone(r.stash)}
+			if !ok {
+				continue // the initial empty state is never recorded
+			}
+			if m := oracleMemoryUsage(r, e); m > want[w] {
+				want[w] = m
+			}
+		}
+	}
+	if e.Completed() != batches || res == nil || !res.Committed || !e.Plan().Equal(np) {
+		t.Fatalf("run did not complete the switch: %d batches, result %+v, plan %s", e.Completed(), res, e.Plan())
+	}
+	got := e.PeakMemoryBytes()
+	if !maps.Equal(got, want) {
+		t.Fatalf("peak memory %v, map oracle %v", got, want)
 	}
 }

@@ -106,9 +106,15 @@ type replica struct {
 	busy    bool
 	blocked bool // migration in progress (fine-grained switching)
 	queue   []task
-	// pending is the in-flight compute completion event, tracked so an
-	// evicting switch can cancel work that would otherwise complete on a
-	// discarded replica.
+	// compute is the replica's one compute-completion event, bound at
+	// build to taskDone and re-armed for every task; task is the task it
+	// completes and epoch the plan epoch it was armed in.
+	compute *sim.Event
+	task    task
+	epoch   uint64
+	// pending is the in-flight compute completion event (compute while
+	// armed, else nil), tracked so an evicting switch can cancel work
+	// that would otherwise complete on a discarded replica.
 	pending *sim.Event
 
 	// Weight stashing (PipeDream §4.4 / AutoPipe §4.4): version is the
@@ -129,6 +135,16 @@ type stageRT struct {
 	idx        int
 	start, end int
 	replicas   []*replica
+	// workers lists the replicas' workers for gradient syncs. A sync in
+	// flight holds it, so it is built with the replica set and never
+	// mutated.
+	workers []int
+
+	// params and acts total the parameter and activation bytes of the
+	// layers [totStart, totEnd). Fine-grained switching moves start and
+	// end in place, so totals recomputes them when the bounds differ.
+	totStart, totEnd int
+	params, acts     int64
 
 	syncBusy    bool
 	syncQueue   int // BP completions awaiting their gradient sync
@@ -154,6 +170,7 @@ type AsyncEngine struct {
 
 	completions []sim.Time
 	onBatchDone []func(batch int, at sim.Time)
+	versions    []int // memoryUsage's scratch: distinct weight versions
 
 	// switching state
 	draining    bool
@@ -169,7 +186,7 @@ type AsyncEngine struct {
 	watchdog       *sim.Event
 	watchdogQuiet  float64 // stall quiet-period (seconds) for this switch
 	switchEvents   []*sim.Event
-	migFlowsLive   []*netsim.Flow
+	migFlowsLive   []netsim.FlowID
 	migPendingDst  map[int]int // unlanded migration transfers per destination
 	committing     bool        // fine-grained switch past its point of no return
 	migrating      bool        // restart/evict switch already started its migration phase
@@ -203,14 +220,30 @@ func (e *AsyncEngine) buildStages(p partition.Plan) {
 	e.stages = nil
 	e.byWorker = map[int]*replica{}
 	for i, s := range p.Stages {
-		rt := &stageRT{idx: i, start: s.Start, end: s.End}
+		rt := &stageRT{idx: i, start: s.Start, end: s.End, totEnd: -1}
 		for _, w := range s.Workers {
 			r := &replica{worker: w, stage: rt, stash: map[int]int{}}
+			r.compute = sim.NewEvent("pipeline/task", func() { e.taskDone(r) })
 			rt.replicas = append(rt.replicas, r)
+			rt.workers = append(rt.workers, w)
 			e.byWorker[w] = r
 		}
 		e.stages = append(e.stages, rt)
 	}
+}
+
+// totals returns the stage's parameter and activation byte totals,
+// recomputed only when its layer bounds have moved.
+func (e *AsyncEngine) totals(s *stageRT) (params, acts int64) {
+	if s.totStart != s.start || s.totEnd != s.end {
+		s.params, s.acts = 0, 0
+		for l := s.start; l < s.end; l++ {
+			s.params += e.cfg.Model.Layers[l].ParamBytes()
+			s.acts += e.cfg.Model.Layers[l].OutputBytes(e.cfg.Model.MiniBatch)
+		}
+		s.totStart, s.totEnd = s.start, s.end
+	}
+	return s.params, s.acts
 }
 
 // OnBatchDone registers a completion callback; multiple callbacks run
@@ -302,26 +335,23 @@ func (e *AsyncEngine) tryStart(r *replica) {
 	}
 	dur /= e.cfg.Framework.Efficiency
 	r.busyTime += dur
-	epoch := e.planEpoch
-	r.pending = e.eng.After(sim.Time(dur), taskName(t), func() {
-		if e.planEpoch != epoch {
-			return // replica was discarded by an evicting switch
-		}
-		r.pending = nil
-		r.busy = false
-		e.onTaskDone(r, t)
-		e.tryStart(r)
-	})
+	r.task, r.epoch = t, e.planEpoch
+	e.eng.Reschedule(r.compute, sim.Time(dur))
+	r.pending = r.compute
 }
 
-// taskName labels a task's completion event. The label is per kind, not
-// per task: event names are read only by sim.StepDebug, and a formatted
-// per-task label would cost an allocation on every FP/BP task.
-func taskName(t task) string {
-	if t.kind == taskBP {
-		return "pipeline/BP"
+// taskDone is the replica's compute event: its armed task has finished.
+// The label is the constant "pipeline/task": event names are read only
+// by sim.StepDebug.
+func (e *AsyncEngine) taskDone(r *replica) {
+	if e.planEpoch != r.epoch {
+		return // replica was discarded by an evicting switch
 	}
-	return "pipeline/FP"
+	t := r.task
+	r.pending = nil
+	r.busy = false
+	e.onTaskDone(r, t)
+	e.tryStart(r)
 }
 
 func (e *AsyncEngine) onTaskDone(r *replica, t task) {
@@ -343,7 +373,7 @@ func (e *AsyncEngine) onTaskDone(r *replica, t task) {
 		dst := next.replicaFor(t.batch)
 		bytes := e.cfg.Model.Layers[st.end-1].OutputBytes(e.cfg.Model.MiniBatch)
 		epoch := e.planEpoch
-		e.net.StartWeightedFlow(r.worker, dst.worker, bytes, e.cfg.boundaryWeight(), fmt.Sprintf("act(b%d)%d→%d", t.batch, st.idx, next.idx), func() {
+		e.net.StartWeightedFlow(r.worker, dst.worker, bytes, e.cfg.boundaryWeight(), netsim.Namef("act(b%d)%d→%d", t.batch, st.idx, next.idx), func() {
 			if e.planEpoch != epoch {
 				return // stale delivery to a discarded replica
 			}
@@ -388,7 +418,7 @@ func (e *AsyncEngine) onTaskDone(r *replica, t task) {
 	dst := prev.replicaFor(t.batch)
 	bytes := e.cfg.Model.Layers[st.start].GradientBytes(e.cfg.Model.MiniBatch)
 	epoch := e.planEpoch
-	e.net.StartWeightedFlow(r.worker, dst.worker, bytes, e.cfg.boundaryWeight(), fmt.Sprintf("grad(b%d)%d→%d", t.batch, st.idx, prev.idx), func() {
+	e.net.StartWeightedFlow(r.worker, dst.worker, bytes, e.cfg.boundaryWeight(), netsim.Namef("grad(b%d)%d→%d", t.batch, st.idx, prev.idx), func() {
 		if e.planEpoch != epoch {
 			return // stale delivery to a discarded replica
 		}
@@ -403,16 +433,9 @@ func (e *AsyncEngine) maybeStartSync(st *stageRT) {
 	}
 	st.syncBusy = true
 	st.syncQueue--
-	var bytes int64
-	for l := st.start; l < st.end; l++ {
-		bytes += e.cfg.Model.Layers[l].ParamBytes()
-	}
-	workers := make([]int, len(st.replicas))
-	for i, r := range st.replicas {
-		workers[i] = r.worker
-	}
+	bytes, _ := e.totals(st)
 	epoch := e.planEpoch
-	e.net.Sync(e.cfg.Scheme, workers, bytes, fmt.Sprintf("gradsync(stage%d)", st.idx), func() {
+	e.net.Sync(e.cfg.Scheme, st.workers, bytes, netsim.Namef("gradsync(stage%d)", st.idx), func() {
 		if e.planEpoch != epoch {
 			return // stage was discarded by an evicting switch
 		}

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -337,5 +338,115 @@ func TestCommPriorityHelpsWhenSyncContends(t *testing.T) {
 	plain, prio := mk(false), mk(true)
 	if prio < plain*0.99 {
 		t.Fatalf("comm priority hurt throughput: %v vs %v", prio, plain)
+	}
+}
+
+// TestTaskEventZeroAllocs: starting a task re-arms the replica's one
+// compute event; no event, closure or label is allocated per task.
+func TestTaskEventZeroAllocs(t *testing.T) {
+	cfg := basicConfig(25, 2)
+	eng := sim.NewEngine()
+	e, err := NewAsync(eng, netsim.New(eng, cfg.Cluster), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := e.stages[0].replicas[0]
+	arm := func() {
+		r.queue = append(r.queue, task{kind: taskFP})
+		e.tryStart(r)
+		if r.pending != r.compute || eng.Pending() != 1 {
+			t.Fatal("tryStart did not arm the replica's compute event")
+		}
+		// Disarm as an evicting switch would, without running the task.
+		eng.Cancel(r.pending)
+		r.pending, r.busy = nil, false
+	}
+	arm()
+	if n := testing.AllocsPerRun(200, arm); n != 0 {
+		t.Fatalf("re-arming a task allocates %v times, want 0", n)
+	}
+}
+
+// TestFlowNamesKeepTheirText: the flows real runs start carry the names
+// the engines have always formatted with fmt.Sprintf — the text chaos
+// triggers and stalls match on — across boundary transfers, gradient
+// syncs under both schemes, synchronous schedules and both kinds of
+// migration.
+func TestFlowNamesKeepTheirText(t *testing.T) {
+	names := map[string]bool{}
+	record := func(net *netsim.Network) {
+		net.SetFaultInjector(func(_, _ int, n netsim.Name) netsim.FlowFault {
+			names[n.String()] = true
+			return netsim.FaultNone
+		})
+	}
+	cl := cluster.Testbed(cluster.Gbps(25))
+	m := model.Uniform(8, 5e10, 100000)
+	replicated := partition.Plan{Stages: []partition.Stage{
+		{Start: 0, End: 4, Workers: []int{0, 2}},
+		{Start: 4, End: 8, Workers: []int{4}},
+	}, InFlight: 4}
+	for _, scheme := range []netsim.SyncScheme{netsim.RingAllReduce, netsim.ParameterServer} {
+		eng := sim.NewEngine()
+		net := netsim.New(eng, cl)
+		record(net)
+		e, err := NewAsync(eng, net, Config{Model: m, Cluster: cl, Plan: replicated, Scheme: scheme})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Start(12)
+		eng.RunAll()
+
+		eng = sim.NewEngine()
+		net = netsim.New(eng, cl)
+		record(net)
+		s, err := NewSync(eng, net, SyncConfig{
+			Config:   Config{Model: m, Cluster: cl, Plan: replicated, Scheme: scheme},
+			Schedule: DAPPLE, MicroBatches: 12,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Start(1)
+		eng.RunAll()
+	}
+	for _, mode := range []SwitchMode{SwitchFineGrained, SwitchRestart} {
+		eng := sim.NewEngine()
+		net := netsim.New(eng, cl)
+		record(net)
+		e, err := NewAsync(eng, net, Config{Model: m, Cluster: cl,
+			Plan: partition.EvenSplit(m.NumLayers(), workerIDs(4)), Scheme: netsim.RingAllReduce})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.OnBatchDone(func(batch int, _ sim.Time) {
+			if batch == 4 {
+				if err := e.ApplyPlan(boundaryShiftPlan(), mode, nil); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		e.Start(12)
+		eng.RunAll()
+	}
+	want := []string{
+		fmt.Sprintf("act(b%d)%d→%d", 0, 0, 1),
+		fmt.Sprintf("act(b%d)%d→%d", 11, 0, 1),
+		fmt.Sprintf("grad(b%d)%d→%d", 10, 1, 0),
+		fmt.Sprintf("gradsync(stage%d)", 0) + "/push",
+		fmt.Sprintf("gradsync(stage%d)", 0) + "/pull",
+		fmt.Sprintf("gradsync(stage%d)", 0) + "/ring-step" + "0",
+		fmt.Sprintf("gradsync(stage%d)", 0) + "/ring-step" + "1",
+		fmt.Sprintf("sact(p%d,m%d)", 0, 11),
+		fmt.Sprintf("sgrad(p%d,m%d)", 0, 10),
+		fmt.Sprintf("flushsync(stage%d)", 0) + "/push",
+		fmt.Sprintf("flushsync(stage%d)", 0) + "/ring-step" + "1",
+		"finemigrate/" + fmt.Sprintf("L%d:%d→%d", 2, 1, 0),
+		"migrate/" + fmt.Sprintf("L%d:%d→%d", 2, 1, 0),
+	}
+	for _, n := range want {
+		if !names[n] {
+			t.Errorf("no flow named %q", n)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"autopipe/internal/model"
+	"autopipe/internal/netsim"
 	"autopipe/internal/partition"
 	"autopipe/internal/sim"
 )
@@ -427,7 +428,7 @@ func (e *AsyncEngine) recentBatchSeconds() float64 {
 // conc is how many migration flows contend for the links at once (the
 // deadline stretches accordingly). Exhausted retries abort the whole
 // switch, blaming the destination.
-func (e *AsyncEngine) runMigFlow(f migFlow, prefix string, conc int, onDone func()) {
+func (e *AsyncEngine) runMigFlow(f migFlow, format string, conc int, onDone func()) {
 	if conc < 1 {
 		conc = 1
 	}
@@ -448,7 +449,7 @@ func (e *AsyncEngine) runMigFlow(f migFlow, prefix string, conc int, onDone func
 		}
 		settled := false
 		var timer *sim.Event
-		fl := e.net.StartFlow(f.src, f.dst, f.bytes, prefix+f.name, func() {
+		fl := e.net.StartFlow(f.src, f.dst, f.bytes, netsim.Namef(format, f.layer, f.src, f.dst), func() {
 			if e.switchEpoch != epoch || settled {
 				return
 			}
@@ -460,7 +461,7 @@ func (e *AsyncEngine) runMigFlow(f migFlow, prefix string, conc int, onDone func
 			e.noteSwitchProgress()
 			onDone()
 		})
-		if fl != nil {
+		if fl != 0 {
 			e.migFlowsLive = append(e.migFlowsLive, fl)
 		}
 		timer = e.eng.After(sim.Time(deadline), "switch/flowdeadline", func() {
@@ -510,7 +511,7 @@ func (e *AsyncEngine) completeRestartSwitch() {
 		return
 	}
 	for _, f := range flows {
-		e.runMigFlow(f, "migrate/", len(flows), func() {
+		e.runMigFlow(f, "migrate/L%d:%d→%d", len(flows), func() {
 			remaining--
 			if remaining == 0 {
 				commit()
@@ -522,7 +523,6 @@ func (e *AsyncEngine) completeRestartSwitch() {
 type migFlow struct {
 	src, dst int
 	bytes    int64
-	name     string
 	layer    int
 }
 
@@ -548,7 +548,6 @@ func (e *AsyncEngine) migrationFlows(oldPlan, newPlan partition.Plan) []migFlow 
 				out = append(out, migFlow{
 					src: src, dst: w,
 					bytes: e.cfg.Model.Layers[l].ParamBytes(),
-					name:  fmt.Sprintf("L%d:%d→%d", l, src, w),
 					layer: l,
 				})
 			}
@@ -611,7 +610,7 @@ func (e *AsyncEngine) startFineGrainedSwitch(cur, np partition.Plan) {
 			commit()
 			return
 		}
-		e.runMigFlow(flows[i], "finemigrate/", 1, func() {
+		e.runMigFlow(flows[i], "finemigrate/L%d:%d→%d", 1, func() {
 			// Per-layer commit: negligible pause modelled as overhead
 			// serialised into the migration chain (not blocking compute).
 			ev := e.eng.After(sim.Time(layerSwitchOverhead), "switch/layer", func() {

@@ -291,8 +291,8 @@ func faultEngine(t *testing.T, dropNth func(n int) bool) (*sim.Engine, *AsyncEng
 	eng := sim.NewEngine()
 	net := netsim.New(eng, cl)
 	seen := 0
-	net.SetFaultInjector(func(src, dst int, name string) netsim.FlowFault {
-		if !strings.Contains(name, "migrate/") {
+	net.SetFaultInjector(func(src, dst int, name netsim.Name) netsim.FlowFault {
+		if !strings.Contains(name.String(), "migrate/") {
 			return netsim.FaultNone
 		}
 		n := seen

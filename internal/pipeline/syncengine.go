@@ -293,7 +293,7 @@ func (e *SyncEngine) onTaskDone(st *sStage, w *sWorker, t sTask) {
 		next := ps[st.idx+1]
 		dst := next.replicaFor(t.micro)
 		bytes := microBytes(e.cfg.Model.Layers[st.end-1].OutputBytes(e.cfg.Model.MiniBatch))
-		e.net.StartFlow(w.id, dst.id, bytes, fmt.Sprintf("sact(p%d,m%d)", t.pi, t.micro), func() {
+		e.net.StartFlow(w.id, dst.id, bytes, netsim.Namef("sact(p%d,m%d)", t.pi, t.micro), func() {
 			dst.queue = append(dst.queue, sTask{pi: t.pi, kind: taskFP, micro: t.micro})
 			e.tryStart(dst)
 		})
@@ -308,7 +308,7 @@ func (e *SyncEngine) onTaskDone(st *sStage, w *sWorker, t sTask) {
 		prev := ps[st.idx-1]
 		dst := prev.replicaFor(t.micro)
 		bytes := microBytes(e.cfg.Model.Layers[st.start].GradientBytes(e.cfg.Model.MiniBatch))
-		e.net.StartFlow(w.id, dst.id, bytes, fmt.Sprintf("sgrad(p%d,m%d)", t.pi, t.micro), func() {
+		e.net.StartFlow(w.id, dst.id, bytes, netsim.Namef("sgrad(p%d,m%d)", t.pi, t.micro), func() {
 			dst.queue = append(dst.queue, sTask{pi: t.pi, kind: taskBP, micro: t.micro})
 			e.tryStart(dst)
 		})
@@ -364,7 +364,7 @@ func (e *SyncEngine) maybeFlush() {
 		}
 		i := i
 		syncs = append(syncs, func() {
-			e.net.Sync(e.cfg.Scheme, workers, bytes, fmt.Sprintf("flushsync(stage%d)", i), finishOne)
+			e.net.Sync(e.cfg.Scheme, workers, bytes, netsim.Namef("flushsync(stage%d)", i), finishOne)
 		})
 	}
 	if len(syncs) == 0 {

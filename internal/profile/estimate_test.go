@@ -18,7 +18,7 @@ func runTransfers(eng *sim.Engine, net *netsim.Network, src, dst, count int, byt
 		if i >= count {
 			return
 		}
-		net.StartFlow(src, dst, bytes, "probe", func() { next(i + 1) })
+		net.StartFlow(src, dst, bytes, netsim.Label("probe"), func() { next(i + 1) })
 	}
 	next(0)
 	eng.Run(sim.Time(1e9))

@@ -8,10 +8,16 @@
 // Determinism: two events scheduled for the same virtual time fire in the
 // order they were scheduled (FIFO by sequence number). Given identical
 // inputs, a simulation always produces identical output.
+//
+// The queue is a binary min-heap on (At, seq), sifted by typed code
+// rather than container/heap's interface calls. (At, seq) is a strict
+// total order — no two events share a sequence number — so the pop
+// sequence is fixed by the events alone, whatever the heap's internal
+// layout. A caller that keeps one Event and re-arms it with Reschedule
+// (NewEvent builds one unscheduled) schedules without allocating.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -39,41 +45,26 @@ type Event struct {
 // Canceled reports whether Cancel was called on the event.
 func (e *Event) Canceled() bool { return e.canceled }
 
-// eventHeap orders events by (At, seq).
-type eventHeap []*Event
+// NewEvent returns an unscheduled event with the given label and
+// callback, for a caller that arms it with Reschedule, possibly many
+// times: one Event serves every firing.
+func NewEvent(name string, fn func()) *Event {
+	return &Event{Name: name, Fn: fn, index: -1}
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
+// before orders events by (At, seq).
+func before(a, b *Event) bool {
+	if a.At != b.At {
+		return a.At < b.At
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+	return a.seq < b.seq
 }
 
 // Engine is a discrete-event simulation engine. The zero value is not
 // usable; construct with NewEngine.
 type Engine struct {
 	now     Time
-	queue   eventHeap
+	queue   []*Event // binary min-heap on (At, seq)
 	nextSeq uint64
 	fired   uint64
 	stopped bool
@@ -102,7 +93,7 @@ func (e *Engine) Schedule(at Time, name string, fn func()) *Event {
 	}
 	ev := &Event{At: at, Name: name, Fn: fn, seq: e.nextSeq}
 	e.nextSeq++
-	heap.Push(&e.queue, ev)
+	e.push(ev)
 	return ev
 }
 
@@ -122,28 +113,108 @@ func (e *Engine) Cancel(ev *Event) {
 		return
 	}
 	ev.canceled = true
-	if ev.index >= 0 && ev.index < len(e.queue) && e.queue[ev.index] == ev {
-		heap.Remove(&e.queue, ev.index)
+	if e.queued(ev) {
+		e.remove(ev.index)
 	}
 }
 
 // Reschedule re-arms ev to fire delay from now. It is Cancel followed by
 // After with the same name and callback — ev takes the next sequence
 // number, so ties order exactly as they would for a fresh event — but
-// reuses ev instead of allocating one. ev may be pending, cancelled or
-// already fired.
+// reuses ev instead of allocating one. ev may be pending, cancelled,
+// already fired or fresh from NewEvent.
 func (e *Engine) Reschedule(ev *Event, delay Time) {
 	if delay < 0 {
 		delay = 0
-	}
-	if ev.index >= 0 && ev.index < len(e.queue) && e.queue[ev.index] == ev {
-		heap.Remove(&e.queue, ev.index)
 	}
 	ev.At = e.now + delay
 	ev.canceled = false
 	ev.seq = e.nextSeq
 	e.nextSeq++
-	heap.Push(&e.queue, ev)
+	if e.queued(ev) {
+		// Its key changed in place: restore the heap order around it.
+		if !e.down(ev.index) {
+			e.up(ev.index)
+		}
+		return
+	}
+	e.push(ev)
+}
+
+// queued reports whether ev sits in the queue.
+func (e *Engine) queued(ev *Event) bool {
+	return ev.index >= 0 && ev.index < len(e.queue) && e.queue[ev.index] == ev
+}
+
+// push adds ev to the heap.
+func (e *Engine) push(ev *Event) {
+	ev.index = len(e.queue)
+	e.queue = append(e.queue, ev)
+	e.up(ev.index)
+}
+
+// remove takes the event at heap index i out of the queue.
+func (e *Engine) remove(i int) *Event {
+	q := e.queue
+	last := len(q) - 1
+	ev := q[i]
+	if i != last {
+		q[i] = q[last]
+		q[i].index = i
+	}
+	q[last] = nil
+	e.queue = q[:last]
+	if i != last {
+		if !e.down(i) {
+			e.up(i)
+		}
+	}
+	ev.index = -1
+	return ev
+}
+
+// up sifts the event at index j towards the root.
+func (e *Engine) up(j int) {
+	q := e.queue
+	ev := q[j]
+	for j > 0 {
+		i := (j - 1) / 2
+		if !before(ev, q[i]) {
+			break
+		}
+		q[j] = q[i]
+		q[j].index = j
+		j = i
+	}
+	q[j] = ev
+	ev.index = j
+}
+
+// down sifts the event at index i0 towards the leaves and reports
+// whether it moved.
+func (e *Engine) down(i0 int) bool {
+	q := e.queue
+	n := len(q)
+	ev := q[i0]
+	i := i0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && before(q[r], q[c]) {
+			c = r
+		}
+		if !before(q[c], ev) {
+			break
+		}
+		q[i] = q[c]
+		q[i].index = i
+		i = c
+	}
+	q[i] = ev
+	ev.index = i
+	return i > i0
 }
 
 // Stop makes Run return after the currently firing event completes.
@@ -153,7 +224,7 @@ func (e *Engine) Stop() { e.stopped = true }
 // its timestamp. It returns false when the queue is empty.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
+		ev := e.remove(0)
 		if ev.canceled {
 			continue
 		}
@@ -191,7 +262,7 @@ func (e *Engine) RunAll() Time { return e.Run(Infinity) }
 // name and time. Test/diagnostic use only.
 func (e *Engine) StepDebug(obs func(name string, at Time)) bool {
 	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
+		ev := e.remove(0)
 		if ev.canceled {
 			continue
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"container/heap"
 	"math/rand"
 	"sort"
 	"testing"
@@ -321,5 +322,199 @@ func TestRescheduleFiredEvent(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { e.Reschedule(ev, 1); e.Cancel(ev) }); n != 0 {
 		t.Fatalf("Reschedule allocated %v times per call", n)
+	}
+}
+
+// oracleEngine is the container/heap engine the typed heap replaced,
+// kept as a test oracle: the same (At, seq) order, Cancel and Reschedule
+// semantics, driven through heap.Interface.
+type oracleEngine struct {
+	now     Time
+	queue   oracleHeap
+	nextSeq uint64
+}
+
+type oracleEvent struct {
+	at       Time
+	fn       func()
+	seq      uint64
+	index    int
+	canceled bool
+}
+
+type oracleHeap []*oracleEvent
+
+func (h oracleHeap) Len() int { return len(h) }
+func (h oracleHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h oracleHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index = i
+	h[j].index = j
+}
+func (h *oracleHeap) Push(x any) {
+	ev := x.(*oracleEvent)
+	ev.index = len(*h)
+	*h = append(*h, ev)
+}
+func (h *oracleHeap) Pop() any {
+	old := *h
+	n := len(old)
+	ev := old[n-1]
+	old[n-1] = nil
+	ev.index = -1
+	*h = old[:n-1]
+	return ev
+}
+
+func (e *oracleEngine) queued(ev *oracleEvent) bool {
+	return ev.index >= 0 && ev.index < len(e.queue) && e.queue[ev.index] == ev
+}
+
+func (e *oracleEngine) schedule(at Time, fn func()) *oracleEvent {
+	ev := &oracleEvent{at: at, fn: fn, seq: e.nextSeq}
+	e.nextSeq++
+	heap.Push(&e.queue, ev)
+	return ev
+}
+
+func (e *oracleEngine) cancel(ev *oracleEvent) {
+	if ev.canceled {
+		return
+	}
+	ev.canceled = true
+	if e.queued(ev) {
+		heap.Remove(&e.queue, ev.index)
+	}
+}
+
+func (e *oracleEngine) reschedule(ev *oracleEvent, delay Time) {
+	if e.queued(ev) {
+		heap.Remove(&e.queue, ev.index)
+	}
+	ev.at = e.now + delay
+	ev.canceled = false
+	ev.seq = e.nextSeq
+	e.nextSeq++
+	heap.Push(&e.queue, ev)
+}
+
+func (e *oracleEngine) step() bool {
+	for len(e.queue) > 0 {
+		ev := heap.Pop(&e.queue).(*oracleEvent)
+		if ev.canceled {
+			continue
+		}
+		e.now = ev.at
+		ev.fn()
+		return true
+	}
+	return false
+}
+
+// TestHeapMatchesContainerHeapOracle: over random Schedule, Cancel,
+// Reschedule and Step sequences with many tied times — including events
+// that re-arm or cancel others from their callbacks — the typed heap
+// fires exactly the oracle's events in the oracle's order, with the same
+// clock and Pending count after every operation.
+func TestHeapMatchesContainerHeapOracle(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		e, o := NewEngine(), &oracleEngine{}
+		var evs []*Event
+		var oevs []*oracleEvent
+		var got, want []int
+		// chain is an event's follow-up, drawn up front so both engines
+		// see the same one: re-arm or cancel another event, or nothing.
+		type chain struct{ op, target, delay int }
+		add := func(delay Time) {
+			id := len(evs)
+			c := chain{op: r.Intn(4), target: r.Intn(id + 1), delay: r.Intn(3)}
+			evs = append(evs, e.After(delay, "ev", func() {
+				got = append(got, id)
+				switch c.op {
+				case 0:
+					e.Reschedule(evs[c.target], Time(c.delay))
+				case 1:
+					e.Cancel(evs[c.target])
+				}
+			}))
+			oevs = append(oevs, o.schedule(o.now+delay, func() {
+				want = append(want, id)
+				switch c.op {
+				case 0:
+					o.reschedule(oevs[c.target], Time(c.delay))
+				case 1:
+					o.cancel(oevs[c.target])
+				}
+			}))
+		}
+		for op := 0; op < 400; op++ {
+			switch k := r.Intn(10); {
+			case k < 4 || len(evs) == 0:
+				add(Time(r.Intn(4)))
+			case k < 5:
+				i := r.Intn(len(evs))
+				e.Cancel(evs[i])
+				o.cancel(oevs[i])
+			case k < 7:
+				i, d := r.Intn(len(evs)), Time(r.Intn(3))
+				e.Reschedule(evs[i], d)
+				o.reschedule(oevs[i], d)
+			default:
+				if a, b := e.Step(), o.step(); a != b {
+					t.Fatalf("seed %d op %d: Step = %v, oracle %v", seed, op, a, b)
+				}
+			}
+			if e.Pending() != len(o.queue) || e.Now() != o.now || len(got) != len(want) {
+				t.Fatalf("seed %d op %d: pending %d now %v fired %d; oracle %d %v %d",
+					seed, op, e.Pending(), e.Now(), len(got), len(o.queue), o.now, len(want))
+			}
+		}
+		// Drain, bounded: events that re-arm each other never run dry.
+		for i := 0; i < 5000 && e.Step(); i++ {
+			o.step()
+		}
+		if e.Pending() != len(o.queue) {
+			t.Fatalf("seed %d: %d events left, oracle %d", seed, e.Pending(), len(o.queue))
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: fired %d events, oracle %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: firing %d is event %d, oracle %d", seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestScheduleStepZeroAllocs: re-arming one event with Reschedule and
+// firing it with Step allocates nothing, with other events queued around
+// it so every sift moves.
+func TestScheduleStepZeroAllocs(t *testing.T) {
+	e := NewEngine()
+	for i := 0; i < 64; i++ {
+		e.Schedule(Time(1e6+i%7), "far", func() {})
+	}
+	fired := 0
+	ev := NewEvent("tick", func() { fired++ })
+	cycle := func() {
+		e.Reschedule(ev, Time(fired%3))
+		e.Reschedule(ev, 1) // re-arm while queued: sifted in place
+		if !e.Step() {
+			t.Fatal("nothing to step")
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Fatalf("Reschedule + Step allocates %v times, want 0", n)
+	}
+	if fired != 202 || e.Pending() != 64 {
+		t.Fatalf("fired %d, pending %d; want 202, 64", fired, e.Pending())
 	}
 }
