@@ -333,11 +333,12 @@ func BenchmarkHierarchicalDP(b *testing.B) {
 
 // ---- Concurrent evaluation core ----
 
-// BenchmarkOptimizePlan measures the parallel hill-climb at several
+// BenchmarkOptimizePlan measures the analytic hill-climb at several
 // worker counts. The chosen plan is bit-identical across sub-benchmarks
-// (asserted here); only wall-clock should differ. On a multi-core
-// runner procs=8 is expected to beat procs=1 by the candidate-scoring
-// parallelism; on a single-core machine they tie.
+// (asserted here); only wall-clock may differ. An analytic round costs
+// tens of microseconds, below the fan-out budget, so every procs setting
+// scores inline and they tie: none may be slower than procs=1. The
+// hybrid benchmark below is the one whose rounds fan out.
 func BenchmarkOptimizePlan(b *testing.B) {
 	cl := cluster.Testbed(cluster.Gbps(25))
 	cl.AddCompetingJob()
@@ -351,7 +352,7 @@ func BenchmarkOptimizePlan(b *testing.B) {
 	}
 	start := partition.EvenSplit(m.NumLayers(), workers)
 	var serialPlan partition.Plan
-	for _, procs := range []int{1, 4, 8} {
+	for _, procs := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
 			var last partition.Plan
 			for i := 0; i < b.N; i++ {
@@ -409,10 +410,11 @@ func BenchmarkPredictSpeed(b *testing.B) {
 }
 
 // BenchmarkOptimizePlanHybrid is BenchmarkOptimizePlan on the learned
-// (hybrid) predictor — the paper's headline path. Before the inference
-// split the LSTM forced serial scoring here regardless of procs; now
-// procs=8 should realise a multiple of procs=1 while the chosen plan
-// stays bit-identical across proc counts (asserted).
+// (hybrid) predictor — the paper's headline path. Its rounds cost about
+// 0.6 ms, several fan-out budgets, so procs > 1 splits them across up
+// to GOMAXPROCS goroutines and should beat procs=1 on a multi-core
+// host, while the chosen plan stays bit-identical across proc counts
+// (asserted).
 func BenchmarkOptimizePlanHybrid(b *testing.B) {
 	cl := cluster.Testbed(cluster.Gbps(25))
 	cl.AddCompetingJob()
@@ -430,7 +432,7 @@ func BenchmarkOptimizePlanHybrid(b *testing.B) {
 	}
 	start := partition.EvenSplit(m.NumLayers(), workers)
 	var serialPlan partition.Plan
-	for _, procs := range []int{1, 4, 8} {
+	for _, procs := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
 			var last partition.Plan
 			for i := 0; i < b.N; i++ {
@@ -454,7 +456,7 @@ func BenchmarkOptimizePlanHybrid(b *testing.B) {
 // at several worker counts; the dataset is bit-identical across
 // sub-benchmarks by construction (per-sample derived seeds).
 func BenchmarkGenerate(b *testing.B) {
-	for _, procs := range []int{1, 4, 8} {
+	for _, procs := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := meta.Generate(context.Background(), meta.DatasetConfig{

@@ -56,7 +56,8 @@ type Config struct {
 	// CheckEvery is the decision period in iterations (default 5).
 	CheckEvery int
 	// Procs bounds parallel candidate scoring during decisions (<=0
-	// selects GOMAXPROCS). Scoring is bit-identical at any setting;
+	// selects GOMAXPROCS); a batched round fans out only as far as its
+	// measured cost pays for. Scoring is bit-identical at any setting;
 	// predictors that are not concurrency-safe fall back to serial.
 	Procs int
 	// RewardHorizon is the iteration window used to compute online

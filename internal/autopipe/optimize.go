@@ -16,6 +16,9 @@ type OptimizeOptions struct {
 	// UseMerge extends the neighbourhood with stage merges/splits.
 	UseMerge bool
 	// Procs bounds parallel candidate scoring (<=0 selects GOMAXPROCS).
+	// A batched round is split into at most Procs chunks, and only into
+	// as many as its measured scoring cost pays for (see
+	// scoreSet.chunks): cheap rounds score on the calling goroutine.
 	Procs int
 	// Stats, when non-nil, receives the search telemetry.
 	Stats *SearchStats
@@ -37,8 +40,9 @@ type OptimizeOptions struct {
 // Each round's neighbourhood is carved from a pair of bump-pointer
 // arenas (the incumbent lives in the previous round's arena, so the two
 // alternate) and scored through a scoreSet — batched when the predictor
-// supports it, otherwise fanned across opts.Procs goroutines, with a
-// plan-hash memo cache either way. The chosen plan is bit-identical at
+// supports it (fanned out only when a round's measured cost pays for
+// it), otherwise fanned across opts.Procs goroutines, with a plan-hash
+// memo cache either way. The chosen plan is bit-identical at
 // every procs setting and whether or not the predictor batches. The returned plan is
 // always an independent heap copy; on cancellation it is the best plan
 // found so far, together with the context's error.

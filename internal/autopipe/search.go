@@ -2,6 +2,7 @@ package autopipe
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -70,8 +71,9 @@ type scoreSet struct {
 	ctx  context.Context
 	pred meta.Predictor
 	// batch is pred's batched scoring path, nil when absent;
-	// when set, each round's cache-miss set is scored in procs contiguous
-	// chunks of one PredictSpeedBatch call each, amortising the
+	// when set, each round's cache-miss set is scored by one
+	// PredictSpeedBatch call, or by one per contiguous chunk when the
+	// round is costly enough to fan out (see chunks), amortising the
 	// candidate-independent work (LSTM history pass, analytic base-plan
 	// terms) across the chunk.
 	batch meta.BatchPredictor
@@ -87,6 +89,12 @@ type scoreSet struct {
 	// incumbent moves; a zero Plan is valid (implementations fall back
 	// to the first scored plan).
 	base partition.Plan
+	// nsPerCand is the batched path's last measured scoring time per
+	// candidate, 0 until measured. It survives reset while the
+	// predictor's type stays costType: cost per candidate is a property
+	// of the kind of predictor far more than of its parameters.
+	nsPerCand float64
+	costType  reflect.Type
 
 	// Reusable buffers: the slice scores returns is owned by the
 	// scoreSet and valid only until its next scores call.
@@ -134,6 +142,9 @@ func (s *scoreSet) reset(ctx context.Context, pred meta.Predictor, prof *profile
 		clear(s.cache)
 	}
 	s.batch, _ = meta.BatchCapable(pred)
+	if t := reflect.TypeOf(pred); t != s.costType {
+		s.costType, s.nsPerCand = t, 0
+	}
 }
 
 // release drops every reference a recycled scoreSet would otherwise pin
@@ -189,10 +200,27 @@ func (s *scoreSet) scores(plans []partition.Plan) ([]float64, error) {
 	return out, nil
 }
 
+// fanOutBudget is the scoring time each chunk of a batched round must
+// carry before the round is split across goroutines. It sits well above
+// the cost of handing a chunk to a goroutine woken from idle (40–50 µs
+// measured on a 2-core host), so analytic rounds (tens of µs) score
+// inline on the caller while hybrid rounds (0.4–1.4 ms) still fan out.
+const fanOutBudget = 200 * time.Microsecond
+
+// chunks returns how many contiguous chunks a batched round of misses
+// candidates is split into: one per fanOutBudget of measured scoring
+// time, capped by procs and by the parallelism the runtime can realise
+// (each chunk re-pays the candidate-independent batch work). A
+// predictor not measured yet scores inline.
+func (s *scoreSet) chunks(misses int) int {
+	k := min(s.procs, runtime.GOMAXPROCS(0), misses)
+	return min(k, int(float64(misses)*s.nsPerCand/float64(fanOutBudget)))
+}
+
 // scoreBatched scores the miss set through the predictor's batched path:
-// the missed plans are gathered into one contiguous slice and split into
-// at most procs contiguous chunks, each scored by one PredictSpeedBatch
-// call. Chunking affects wall clock only — every row's score is
+// the missed plans are gathered into one contiguous slice and scored by
+// one PredictSpeedBatch call on the caller or, for a costly round, by
+// one call per chunk on up to chunks goroutines. Chunking affects wall clock only — every row's score is
 // bit-identical to serial PredictSpeed by the BatchPredictor contract.
 func (s *scoreSet) scoreBatched(plans []partition.Plan, out []float64) (int64, error) {
 	miss := s.miss
@@ -205,34 +233,34 @@ func (s *scoreSet) scoreBatched(plans []partition.Plan, out []float64) (int64, e
 	for j, i := range miss {
 		mp[j] = plans[i]
 	}
-	// Chunk by the parallelism the runtime can actually realise: each
-	// chunk re-pays the candidate-independent batch work (LSTM pass,
-	// analytic rebase), so chunks beyond GOMAXPROCS or beyond the miss
-	// count are pure overhead. Chunking never affects scores, only wall
-	// clock (per-row bit-identity).
-	nch := s.procs
-	if g := runtime.GOMAXPROCS(0); nch > g {
-		nch = g
-	}
-	if nch > len(miss) {
-		nch = len(miss)
-	}
-	var scoreNanos atomic.Int64
-	err := work.Map(s.ctx, nch, nch, func(_ context.Context, c int) error {
-		lo := c * len(miss) / nch
-		hi := (c + 1) * len(miss) / nch
+	var scoreNanos int64
+	if nch := s.chunks(len(miss)); nch <= 1 {
+		if err := s.ctx.Err(); err != nil {
+			return 0, err
+		}
 		t0 := time.Now()
-		s.batch.PredictSpeedBatch(s.prof, s.base, mp[lo:hi], s.mb, s.h, mo[lo:hi])
-		scoreNanos.Add(int64(time.Since(t0)))
-		return nil
-	})
-	if err != nil {
-		return scoreNanos.Load(), err
+		s.batch.PredictSpeedBatch(s.prof, s.base, mp, s.mb, s.h, mo)
+		scoreNanos = int64(time.Since(t0))
+	} else {
+		var total atomic.Int64
+		err := work.Map(s.ctx, nch, nch, func(_ context.Context, c int) error {
+			lo := c * len(miss) / nch
+			hi := (c + 1) * len(miss) / nch
+			t0 := time.Now()
+			s.batch.PredictSpeedBatch(s.prof, s.base, mp[lo:hi], s.mb, s.h, mo[lo:hi])
+			total.Add(int64(time.Since(t0)))
+			return nil
+		})
+		if err != nil {
+			return total.Load(), err
+		}
+		scoreNanos = total.Load()
 	}
+	s.nsPerCand = float64(scoreNanos) / float64(len(miss))
 	for j, i := range miss {
 		out[i] = mo[j]
 	}
-	return scoreNanos.Load(), nil
+	return scoreNanos, nil
 }
 
 // scoreFanOut is the per-candidate fallback: one PredictSpeed call per

@@ -2,7 +2,11 @@ package autopipe
 
 import (
 	"context"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"autopipe/internal/cluster"
 	"autopipe/internal/meta"
@@ -122,6 +126,97 @@ func TestImbalanceTableMatchesDirect(t *testing.T) {
 		got, want := tab.of(plan), direct(plan)
 		if diff := got - want; diff > 1e-9 || diff < -1e-9 {
 			t.Fatalf("imbalance mismatch for %s: table %v direct %v", plan, got, want)
+		}
+	}
+}
+
+// goroutineID returns the calling goroutine's id, read from the header
+// line of its stack trace ("goroutine 7 [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// recordingBatch is the analytic predictor with every PredictSpeedBatch
+// call recorded by the goroutine it ran on, and optionally slowed by
+// perRow per candidate to look like a costly predictor.
+type recordingBatch struct {
+	meta.AnalyticPredictor
+	perRow time.Duration
+	mu     sync.Mutex
+	calls  []string
+}
+
+func (r *recordingBatch) PredictSpeedBatch(p *profile.Profile, base partition.Plan, plans []partition.Plan,
+	miniBatch int, h *meta.History, out []float64) {
+	r.mu.Lock()
+	r.calls = append(r.calls, goroutineID())
+	r.mu.Unlock()
+	time.Sleep(r.perRow * time.Duration(len(plans)))
+	r.AnalyticPredictor.PredictSpeedBatch(p, base, plans, miniBatch, h, out)
+}
+
+// TestScoreBatchedFansOutByCost: a cheap batched round is scored by one
+// call on the caller's goroutine, however many procs are allowed; a
+// round whose measured cost spans several fan-out budgets is split
+// across goroutines once the cost is known; the scores are the same.
+func TestScoreBatchedFansOutByCost(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	prof, start, m := optimizeFixture(t)
+	plans := partition.NeighborsWithMerge(start)
+	if len(plans) < 8 {
+		t.Fatalf("only %d candidates", len(plans))
+	}
+	caller := goroutineID()
+	round := func(ss *scoreSet) []float64 {
+		t.Helper()
+		clear(ss.cache) // every round re-scores the whole set
+		got, err := ss.scores(plans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append([]float64(nil), got...)
+	}
+
+	cheap := &recordingBatch{}
+	ss := newScoreSet(context.Background(), cheap, prof, m.MiniBatch, nil, 4)
+	want := round(ss) // not measured yet: inline
+	for i := 0; i < 4; i++ {
+		// An analytic candidate costs about a microsecond on an
+		// uninstrumented build. Pin that measurement so neither the race
+		// detector's slowdown nor a host stall makes the round costly.
+		ss.nsPerCand = 1000
+		round(ss)
+	}
+	if len(cheap.calls) != 5 {
+		t.Fatalf("cheap rounds: %d PredictSpeedBatch calls, want 5", len(cheap.calls))
+	}
+	for i, g := range cheap.calls {
+		if g != caller {
+			t.Fatalf("cheap round %d scored on goroutine %s, not the caller's %s", i, g, caller)
+		}
+	}
+
+	// Several budgets' worth per round, but fewer chunks than candidates.
+	costly := &recordingBatch{perRow: 4 * fanOutBudget / time.Duration(len(plans))}
+	ss = newScoreSet(context.Background(), costly, prof, m.MiniBatch, nil, 4)
+	first := round(ss)
+	if len(costly.calls) != 1 || costly.calls[0] != caller {
+		t.Fatalf("unmeasured round: calls on %v, want one on the caller %s", costly.calls, caller)
+	}
+	second := round(ss)
+	fanned := costly.calls[1:]
+	if len(fanned) < 2 || len(fanned) > 4 {
+		t.Fatalf("measured costly round: %d calls, want 2–4 chunks", len(fanned))
+	}
+	for _, g := range fanned {
+		if g == caller {
+			t.Fatalf("costly round scored a chunk on the caller's goroutine: %v", fanned)
+		}
+	}
+	for i := range want {
+		if first[i] != want[i] || second[i] != want[i] {
+			t.Fatalf("candidate %d: scores %v, %v vs inline %v", i, first[i], second[i], want[i])
 		}
 	}
 }

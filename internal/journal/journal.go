@@ -139,6 +139,16 @@ type Journal struct {
 	// held — letting tests stall the leader while followers pile into
 	// the next batch.
 	commitHook func(claimed int64)
+	// compactFile, when set (tests only), wraps the segment file that
+	// Compact writes, so a test can fail its writes or fsync.
+	compactFile func(*os.File) segmentFile
+}
+
+// segmentFile is the part of a segment file Compact writes through.
+type segmentFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
 }
 
 const segPattern = "seg-%08d.wal"
@@ -353,27 +363,34 @@ func (j *Journal) Compact(live []Record) error {
 	if err != nil {
 		return err
 	}
+	var w segmentFile = f
+	if j.compactFile != nil {
+		w = j.compactFile(f)
+	}
+	// Any failure removes the partial segment: left behind, the next
+	// rotate would append to it behind a torn frame, and a reopen would
+	// replay its stale records after the newer ones in the active one.
+	fail := func(err error) error {
+		w.Close()
+		os.Remove(filepath.Join(j.dir, segName(next)))
+		return err
+	}
 	var size int64
 	for _, rec := range live {
 		frame, err := encodeFrame(rec)
 		if err != nil {
-			f.Close()
-			os.Remove(filepath.Join(j.dir, segName(next)))
-			return err
+			return fail(err)
 		}
-		if _, err := f.Write(frame); err != nil {
-			f.Close()
-			return fmt.Errorf("journal: compact write: %w", err)
+		if _, err := w.Write(frame); err != nil {
+			return fail(fmt.Errorf("journal: compact write: %w", err))
 		}
 		size += int64(len(frame))
 	}
-	if err := j.syncFile(f); err != nil {
-		f.Close()
-		return err
+	if err := j.syncFile(w); err != nil {
+		return fail(err)
 	}
 	if err := j.syncDir(); err != nil {
-		f.Close()
-		return err
+		return fail(err)
 	}
 	// The compacted segment is durable; old history can go.
 	j.active.Close()
@@ -390,7 +407,7 @@ func (j *Journal) Compact(live []Record) error {
 	return nil
 }
 
-func (j *Journal) syncFile(f *os.File) error {
+func (j *Journal) syncFile(f interface{ Sync() error }) error {
 	if j.opts.NoSync {
 		return nil
 	}

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -385,4 +386,83 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatalf("re-encoded prefix diverges: %d consumed, %d re-encoded", off, buf.Len())
 		}
 	})
+}
+
+var errInjected = errors.New("injected fault")
+
+// faultySegment fails a compaction segment's writes or fsync: after
+// writes whole writes it writes half of the next one (a torn frame) and
+// fails, and with failSync every fsync fails.
+type faultySegment struct {
+	*os.File
+	writes   int
+	failSync bool
+}
+
+func (f *faultySegment) Write(p []byte) (int, error) {
+	if f.writes == 0 {
+		n, _ := f.File.Write(p[:len(p)/2])
+		return n, errInjected
+	}
+	f.writes--
+	return f.File.Write(p)
+}
+
+func (f *faultySegment) Sync() error {
+	if f.failSync {
+		return errInjected
+	}
+	return f.File.Sync()
+}
+
+// TestFailedCompactRemovesPartialSegment: a compaction whose write or
+// fsync fails leaves no partial segment behind. A reopen replays exactly
+// the records from before the compaction, and the next rotation starts a
+// clean segment instead of appending behind the compacted frames.
+func TestFailedCompactRemovesPartialSegment(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		seg  faultySegment
+	}{
+		{"torn write", faultySegment{writes: 2}},
+		{"fsync", faultySegment{writes: 3, failSync: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{SegmentBytes: 400}
+			j, _ := mustOpen(t, dir, opts)
+			appendN(t, j, 6)
+			j.compactFile = func(f *os.File) segmentFile {
+				seg := tc.seg
+				seg.File = f
+				return &seg
+			}
+			stale := []Record{rec(100), rec(101), rec(102)}
+			if err := j.Compact(stale); !errors.Is(err, errInjected) {
+				t.Fatalf("Compact = %v, want the injected fault", err)
+			}
+			if _, err := os.Stat(filepath.Join(dir, segName(2))); !os.IsNotExist(err) {
+				t.Fatalf("partial compaction segment left behind (stat: %v)", err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			j, recs := mustOpen(t, dir, opts)
+			checkRecs(t, recs, 6)
+			for i := 6; i < 16; i++ {
+				if err := j.Append(rec(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if j.Stats().Rotations == 0 {
+				t.Fatal("appends did not rotate")
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			j, recs = mustOpen(t, dir, opts)
+			defer j.Close()
+			checkRecs(t, recs, 16)
+		})
+	}
 }

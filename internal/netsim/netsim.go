@@ -16,6 +16,23 @@
 // cancelled, and a stale ID is a no-op. A flow's Name is kept as parts
 // and rendered only where it is read — the fault hook, StallMatching and
 // FlowRecord consumers.
+//
+// Settling: a flow start, finish, cancel, stall or capacity change runs
+// reschedule, whose eager half (finish drained flows, run observers and
+// callbacks) acts at once, but whose solve — the max-min rates and the
+// completion event — is settled once per simulated instant, by an
+// end-of-instant callback on the engine. Within one instant no time
+// passes, so the rates an earlier solve would have produced are never
+// integrated; the completion event is armed with the sequence number
+// reserved at the last reschedule, so it orders among other events
+// exactly as an eager re-arm at that point would have. That is exact
+// while now·C ≤ 1e15, C bounding every link capacity and rate seen so
+// far: the drained-flow threshold max(1 bit, rate·now·1e-15), the only
+// other reader of a rate, is then exactly one bit, and no completion
+// can round onto the current instant. The network defers while
+// now·C ≤ 5e14, a factor of two inside, so rounding in the check itself
+// cannot matter; past it each reschedule settles inline, as the solver
+// always did.
 package netsim
 
 import (
@@ -115,9 +132,21 @@ type Network struct {
 	free       []*flow
 	lastUpdate sim.Time
 	// completion is the next-flow-completion event, re-armed by every
-	// reschedule; onCompletion is its callback, bound once.
+	// settle; onCompletion is its callback, bound once.
 	completion   *sim.Event
 	onCompletion func()
+	// dirty marks a reschedule whose solve has not run yet; seq is the
+	// engine sequence number it reserved for the completion event.
+	// settleQueued is set while onSettle, bound once, waits on the
+	// engine's end-of-instant queue. capHigh is the largest link
+	// capacity seen so far, which bounds every rate ever assigned, and
+	// horizon the last time a solve may be deferred to (see raiseBound).
+	dirty        bool
+	settleQueued bool
+	seq          uint64
+	onSettle     func()
+	capHigh      float64
+	horizon      sim.Time
 
 	// Fair-share scratch reused by every recompute: per-link state
 	// indexed by link id, the links the current flows touch (in first-
@@ -223,6 +252,12 @@ func New(eng *sim.Engine, cl *cluster.Cluster) *Network {
 		n.advance()
 		n.reschedule()
 	}
+	n.onSettle = func() {
+		n.settleQueued = false
+		n.settle()
+	}
+	n.horizon = sim.Infinity
+	n.raiseToCapacities()
 	return n
 }
 
@@ -412,6 +447,12 @@ func (n *Network) CancelFlow(id FlowID) {
 		return
 	}
 	n.advance()
+	if n.dirty && n.queue != nil && len(n.flows) == 1 {
+		// The queue model keeps the last solved epoch's link loads, and
+		// an empty flow set is never solved: settle the set this cancel
+		// empties, as the eager solve of the last reschedule did.
+		n.settle()
+	}
 	n.flows = slices.Delete(n.flows, i, i+1)
 	n.release(f)
 	n.reschedule()
@@ -420,6 +461,7 @@ func (n *Network) CancelFlow(id FlowID) {
 // OnCapacityChange must be called after mutating the cluster's bandwidth
 // state so in-flight flows are re-shared.
 func (n *Network) OnCapacityChange() {
+	n.raiseToCapacities()
 	n.advance()
 	n.reschedule()
 }
@@ -447,8 +489,10 @@ func (n *Network) advance() {
 	}
 }
 
-// reschedule recomputes max-min fair rates and schedules the next flow
-// completion.
+// reschedule finishes drained flows, running their observers and
+// callbacks, and leaves the new flow set's max-min rates and next
+// completion to settle: at the end of the current instant, or at once
+// past the exactness bound (see the package comment).
 func (n *Network) reschedule() {
 	n.eng.Cancel(n.completion)
 	// Finish flows that have already drained (possibly several at once).
@@ -507,8 +551,59 @@ func (n *Network) reschedule() {
 		return
 	}
 	if len(n.flows) == 0 {
+		n.dirty = false
 		return
 	}
+	// The completion event takes this sequence number whenever settle
+	// arms it: an eager re-arm here would have taken it.
+	n.seq = n.eng.ReserveSeq()
+	n.dirty = true
+	if n.eng.Now() > n.horizon {
+		n.settle()
+		return
+	}
+	if !n.settleQueued {
+		n.settleQueued = true
+		n.eng.AtEndOfInstant(n.onSettle)
+	}
+}
+
+// settleHorizon is the largest now·C up to which a solve is deferred
+// (see the package comment).
+const settleHorizon = 5e14
+
+// raiseBound raises capHigh to a capacity c, and with it pulls in the
+// horizon: rates are bounded by capHigh, so deferring is exact until
+// settleHorizon / capHigh.
+func (n *Network) raiseBound(c float64) {
+	if c > n.capHigh {
+		n.capHigh = c
+		n.horizon = sim.Time(settleHorizon / c)
+	}
+}
+
+// raiseToCapacities raises the bound to every link's current capacity.
+// The solver raises it for the links it reads; this covers the links no
+// flow crosses yet, when the network is built and whenever capacities
+// change.
+func (n *Network) raiseToCapacities() {
+	n.raiseBound(n.cl.IntraServerBwBps)
+	if n.cl.Racks > 1 {
+		n.raiseBound(n.cl.RackUplinkBps)
+	}
+	for _, s := range n.cl.Servers {
+		n.raiseBound(s.AvailBwBps())
+	}
+}
+
+// settle solves the pending reschedule: it computes max-min fair rates
+// and arms the completion event, with the reserved sequence number, at
+// the earliest completion.
+func (n *Network) settle() {
+	if !n.dirty {
+		return
+	}
+	n.dirty = false
 	n.computeRates()
 	// Earliest completion among current flows.
 	soonest := math.Inf(1)
@@ -525,10 +620,9 @@ func (n *Network) reschedule() {
 		return // no capacity anywhere; stalled until OnCapacityChange
 	}
 	if n.completion == nil {
-		n.completion = n.eng.After(sim.Time(soonest), "netsim/completion", n.onCompletion)
-		return
+		n.completion = sim.NewEvent("netsim/completion", n.onCompletion)
 	}
-	n.eng.Reschedule(n.completion, sim.Time(soonest))
+	n.eng.RescheduleReserved(n.completion, sim.Time(soonest), n.seq)
 }
 
 // computeRates assigns weighted max-min fair rates via progressive
@@ -556,6 +650,7 @@ func (n *Network) computeRates() {
 			ls := &n.links[l]
 			if ls.count == 0 {
 				ls.cap = n.capacity(l)
+				n.raiseBound(ls.cap)
 				n.touched = append(n.touched, l)
 			}
 			ls.unfrozen += f.weight

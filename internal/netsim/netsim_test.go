@@ -499,7 +499,7 @@ func twoRackNet() (*sim.Engine, *cluster.Cluster, *Network) {
 
 // randomFlows loads a two-rack network with uneven NIC capacities and
 // 1–16 random flows, about one in eight of them stalled, drawing each
-// flow's weight from weight.
+// flow's weight from weight, and settles their rates.
 func randomFlows(r *rand.Rand, weight func() float64) *Network {
 	_, cl, net := twoRackNet()
 	for _, s := range cl.Servers {
@@ -516,6 +516,8 @@ func randomFlows(r *rand.Rand, weight func() float64) *Network {
 		dst := (src + 1 + r.Intn(cl.NumGPUs()-1)) % cl.NumGPUs()
 		net.StartWeightedFlow(src, dst, int64(1e8+r.Int63n(1e9)), weight(), Label("o"), nil)
 	}
+	// Rates are solved at the end of the instant; read them now.
+	net.settle()
 	return net
 }
 
@@ -650,8 +652,8 @@ func TestWeightedCongestionDeterministic(t *testing.T) {
 }
 
 // TestRescheduleZeroAllocs: once the solver's scratch has grown, a
-// recompute over an unchanged flow set — two racks, weighted and stalled
-// flows, queueing on — allocates nothing.
+// reschedule and its settle over an unchanged flow set — two racks,
+// weighted and stalled flows, queueing on — allocate nothing.
 func TestRescheduleZeroAllocs(t *testing.T) {
 	_, cl, net := twoRackNet()
 	net.EnableQueueing(QueueConfig{})
@@ -668,9 +670,13 @@ func TestRescheduleZeroAllocs(t *testing.T) {
 		dst := (src + 3) % cl.NumGPUs()
 		net.StartWeightedFlow(src, dst, 1e9, 1+float64(i%3), Label("z"), nil)
 	}
-	net.reschedule()
-	if n := testing.AllocsPerRun(200, net.reschedule); n != 0 {
-		t.Fatalf("reschedule allocates %v times per recompute, want 0", n)
+	recompute := func() {
+		net.reschedule()
+		net.settle()
+	}
+	recompute()
+	if n := testing.AllocsPerRun(200, recompute); n != 0 {
+		t.Fatalf("reschedule + settle allocates %v times per recompute, want 0", n)
 	}
 	if net.ActiveFlows() != 10 {
 		t.Fatalf("%d active flows, want 10", net.ActiveFlows())

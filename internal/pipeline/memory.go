@@ -17,9 +17,9 @@ func (r *replica) memoryUsage(e *AsyncEngine) int64 {
 	// Distinct stashed weight versions plus the committed one, counted
 	// in the engine's reused scratch slice.
 	versions := append(e.versions[:0], r.version)
-	for _, v := range r.stash {
-		if !slices.Contains(versions, v) {
-			versions = append(versions, v)
+	for _, s := range r.stash {
+		if !slices.Contains(versions, s.version) {
+			versions = append(versions, s.version)
 		}
 	}
 	e.versions = versions

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"maps"
+	"slices"
 	"testing"
 
 	"autopipe/internal/cluster"
@@ -89,8 +90,8 @@ func oracleMemoryUsage(r *replica, e *AsyncEngine) int64 {
 		acts += e.cfg.Model.Layers[l].OutputBytes(e.cfg.Model.MiniBatch)
 	}
 	versions := map[int]bool{r.version: true}
-	for _, v := range r.stash {
-		versions[v] = true
+	for _, s := range r.stash {
+		versions[s.version] = true
 	}
 	return params*int64(len(versions)) + acts*int64(len(r.stash))
 }
@@ -121,7 +122,7 @@ func TestPeakMemoryMatchesMapOracleAcrossFineGrainedSwitch(t *testing.T) {
 	})
 	type state struct {
 		version int
-		stash   map[int]int
+		stash   []stashed
 	}
 	seen := map[int]state{}
 	want := map[int]int64{}
@@ -129,10 +130,10 @@ func TestPeakMemoryMatchesMapOracleAcrossFineGrainedSwitch(t *testing.T) {
 	for eng.Step() {
 		for w, r := range e.byWorker {
 			s, ok := seen[w]
-			if ok && s.version == r.version && maps.Equal(s.stash, r.stash) {
+			if ok && s.version == r.version && slices.Equal(s.stash, r.stash) {
 				continue
 			}
-			seen[w] = state{r.version, maps.Clone(r.stash)}
+			seen[w] = state{r.version, slices.Clone(r.stash)}
 			if !ok {
 				continue // the initial empty state is never recorded
 			}

@@ -118,11 +118,12 @@ type replica struct {
 	pending *sim.Event
 
 	// Weight stashing (PipeDream §4.4 / AutoPipe §4.4): version is the
-	// committed weight version; stash maps an in-flight batch to the
+	// committed weight version; stash pairs each in-flight batch with the
 	// version its forward pass used, so its backward pass uses the same
-	// weights. stashPeak is telemetry for the memory-cost analysis.
+	// weights (at most InFlight entries, in FP order). stashPeak is
+	// telemetry for the memory-cost analysis.
 	version   int
-	stash     map[int]int
+	stash     []stashed
 	stashPeak int
 	bpCount   int   // backward passes completed (drives version bumps)
 	memPeak   int64 // peak weight+activation memory (see memory.go)
@@ -215,6 +216,33 @@ func NewAsync(eng *sim.Engine, net *netsim.Network, cfg Config) (*AsyncEngine, e
 	return e, nil
 }
 
+// stashed is one weight-stash entry: an in-flight batch and the weight
+// version its forward pass used.
+type stashed struct{ batch, version int }
+
+// stashVersion records the committed version as the one batch's
+// forward pass used, replacing any earlier entry for the batch.
+func (r *replica) stashVersion(batch int) {
+	for i := range r.stash {
+		if r.stash[i].batch == batch {
+			r.stash[i].version = r.version
+			return
+		}
+	}
+	r.stash = append(r.stash, stashed{batch, r.version})
+}
+
+// unstash drops batch's entry and reports whether it had one.
+func (r *replica) unstash(batch int) bool {
+	for i := range r.stash {
+		if r.stash[i].batch == batch {
+			r.stash = append(r.stash[:i], r.stash[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
 func (e *AsyncEngine) buildStages(p partition.Plan) {
 	e.planEpoch++
 	e.stages = nil
@@ -222,7 +250,7 @@ func (e *AsyncEngine) buildStages(p partition.Plan) {
 	for i, s := range p.Stages {
 		rt := &stageRT{idx: i, start: s.Start, end: s.End, totEnd: -1}
 		for _, w := range s.Workers {
-			r := &replica{worker: w, stage: rt, stash: map[int]int{}}
+			r := &replica{worker: w, stage: rt, stash: make([]stashed, 0, max(p.InFlight, 1))}
 			r.compute = sim.NewEvent("pipeline/task", func() { e.taskDone(r) })
 			rt.replicas = append(rt.replicas, r)
 			rt.workers = append(rt.workers, w)
@@ -358,7 +386,7 @@ func (e *AsyncEngine) onTaskDone(r *replica, t task) {
 	st := r.stage
 	if t.kind == taskFP {
 		// Weight stashing: remember the version this batch saw.
-		r.stash[t.batch] = r.version
+		r.stashVersion(t.batch)
 		if len(r.stash) > r.stashPeak {
 			r.stashPeak = len(r.stash)
 		}
@@ -384,10 +412,9 @@ func (e *AsyncEngine) onTaskDone(r *replica, t task) {
 	}
 	// Backward pass done: consume the stashed version (the invariant —
 	// FP and BP of a batch use the same weights — is checked here).
-	if _, ok := r.stash[t.batch]; !ok {
+	if !r.unstash(t.batch) {
 		panic(fmt.Sprintf("pipeline: BP(b%d)@w%d without stashed weights", t.batch, r.worker))
 	}
-	delete(r.stash, t.batch)
 	// Weight update cadence: vanilla PipeDream commits a fresh version
 	// per backward pass; 2BW-style coalescing (SyncEvery = m) commits
 	// every m-th pass, so at most two versions stay live (the paper's
@@ -461,7 +488,7 @@ func (e *AsyncEngine) discardInFlight() {
 		}
 		r.busy = false
 		r.queue = nil
-		r.stash = map[int]int{}
+		r.stash = r.stash[:0]
 	}
 	for _, st := range e.stages {
 		st.syncBusy = false

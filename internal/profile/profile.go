@@ -58,13 +58,28 @@ type Profile struct {
 	// environment keeps serving cached work. Two profiles with equal
 	// Epoch from the same Profiler carry identical dynamic metrics.
 	Epoch uint64
+
+	// totals[w] is TotalComputeTime(w), summed once by the fill that
+	// carved the FP rows totalsOf points at. A Profile built by hand, or
+	// whose FP rows were replaced since, has no match and sums per call.
+	totals   []float64
+	totalsOf *[]float64
 }
 
 // TotalComputeTime returns Σ (FP+BP) of all layers on worker w.
 func (p *Profile) TotalComputeTime(w int) float64 {
+	if len(p.FP) > 0 && p.totalsOf == &p.FP[0] {
+		return p.totals[w]
+	}
+	return sumComputeTime(p.FP[w][:p.L], p.BP[w][:p.L])
+}
+
+// sumComputeTime is Σ fp[j]+bp[j] in layer order: the one association
+// every compute total uses.
+func sumComputeTime(fp, bp []float64) float64 {
 	s := 0.0
-	for j := 0; j < p.L; j++ {
-		s += p.FP[w][j] + p.BP[w][j]
+	for j := range fp {
+		s += fp[j] + bp[j]
 	}
 	return s
 }
@@ -199,6 +214,11 @@ func (p *Profiler) ObserveInto(dst *Profile) *Profile {
 	dst.Rack = resize(dst.Rack, N)
 	dst.FP = carve(dst.FP, N, L)
 	dst.BP = carve(dst.BP, N, L)
+	dst.totals = resize(dst.totals, N)
+	dst.totalsOf = nil
+	if N > 0 {
+		dst.totalsOf = &dst.FP[0]
+	}
 	for w := 0; w < N; w++ {
 		dst.Server[w] = p.cl.GPU(w).Server
 		dst.Rack[w] = p.cl.ServerOf(w).Rack
@@ -219,6 +239,7 @@ func (p *Profiler) ObserveInto(dst *Profile) *Profile {
 			fp[j] = base * p.ratios[j]
 			bp[j] = fp[j] * cluster.BPComputeFactor
 		}
+		dst.totals[w] = sumComputeTime(fp, bp)
 	}
 	dst.Epoch = p.stampEpoch(dst)
 	return dst

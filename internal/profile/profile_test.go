@@ -132,6 +132,65 @@ func TestTotalComputeTime(t *testing.T) {
 	}
 }
 
+// freshTotal is TotalComputeTime's defining sum, in its association.
+func freshTotal(p *Profile, w int) float64 {
+	s := 0.0
+	for j := 0; j < p.L; j++ {
+		s += p.FP[w][j] + p.BP[w][j]
+	}
+	return s
+}
+
+// TestTotalComputeTimeMatchesSum: the totals ObserveInto sums once per
+// fill are bitwise the defining sum across refills of one destination —
+// noisy timings, a contended GPU, a different cluster shape — and a
+// hand-built profile, or a copy whose FP rows were replaced, still sums.
+func TestTotalComputeTimeMatchesSum(t *testing.T) {
+	check := func(p *Profile, when string) {
+		t.Helper()
+		for w := 0; w < p.N; w++ {
+			got, want := p.TotalComputeTime(w), freshTotal(p, w)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: worker %d total %v, fresh sum %v", when, w, got, want)
+			}
+		}
+	}
+	m := model.BERT48()
+	cl := cluster.Testbed(cluster.Gbps(25))
+	pr := NewProfiler(m, cl)
+	pr.SetNoise(rand.New(rand.NewSource(3)), 0.2)
+	dst := new(Profile)
+	for i := 0; i < 6; i++ {
+		if i == 3 {
+			cl.AddCompetingJob()
+		}
+		pr.ObserveInto(dst)
+		if dst.totalsOf == nil {
+			t.Fatal("ObserveInto left no cached totals")
+		}
+		check(dst, "refill")
+	}
+	// A new cluster shape re-carves the rows; the totals follow.
+	other := NewProfiler(m, cluster.NewCluster(cluster.Config{Servers: 3, GPUsPerServer: 2, GPUType: cluster.P100}))
+	other.ObserveInto(dst)
+	check(dst, "reshaped refill")
+
+	// A copy sharing the fill's rows may use its totals; replacing the
+	// rows must not.
+	cp := *dst
+	cp.FP = make([][]float64, dst.N)
+	for w := range cp.FP {
+		cp.FP[w] = make([]float64, dst.L)
+		for j := range cp.FP[w] {
+			cp.FP[w][j] = float64(w + j)
+		}
+	}
+	check(&cp, "copy with replaced rows")
+
+	hand := &Profile{L: 2, N: 1, FP: [][]float64{{0.1, 0.2}}, BP: [][]float64{{0.3, 0.7}}}
+	check(hand, "hand-built")
+}
+
 func TestNoiseInjection(t *testing.T) {
 	cl := cluster.Testbed(cluster.Gbps(25))
 	pr := NewProfiler(model.AlexNet(), cl)

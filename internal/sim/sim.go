@@ -15,6 +15,15 @@
 // sequence is fixed by the events alone, whatever the heap's internal
 // layout. A caller that keeps one Event and re-arms it with Reschedule
 // (NewEvent builds one unscheduled) schedules without allocating.
+//
+// End of instant: AtEndOfInstant queues a callback that runs once no
+// live event is left at the current time, before the clock advances —
+// the place for work whose intermediate results within one instant are
+// never read (netsim settles its fair-share rates there). A caller that
+// defers the arming of an event that far reserves its sequence number
+// with ReserveSeq at the moment it would have armed it, then arms it
+// with RescheduleReserved: ties then order exactly as an eager
+// Reschedule at the reservation point would have ordered them.
 package sim
 
 import (
@@ -68,6 +77,9 @@ type Engine struct {
 	nextSeq uint64
 	fired   uint64
 	stopped bool
+	// atEnd holds the end-of-instant callbacks queued so far; spare is
+	// the other half of the double buffer they run from.
+	atEnd, spare []func()
 }
 
 // NewEngine returns an engine with the clock at zero and an empty queue.
@@ -124,13 +136,28 @@ func (e *Engine) Cancel(ev *Event) {
 // reuses ev instead of allocating one. ev may be pending, cancelled,
 // already fired or fresh from NewEvent.
 func (e *Engine) Reschedule(ev *Event, delay Time) {
+	e.RescheduleReserved(ev, delay, e.ReserveSeq())
+}
+
+// ReserveSeq takes the next sequence number for an event the caller
+// arms later in the same instant with RescheduleReserved.
+func (e *Engine) ReserveSeq() uint64 {
+	seq := e.nextSeq
+	e.nextSeq++
+	return seq
+}
+
+// RescheduleReserved re-arms ev like Reschedule, but with the sequence
+// number seq reserved earlier by ReserveSeq instead of a fresh one, so
+// ev breaks ties with other events exactly as if it had been re-armed
+// when seq was reserved.
+func (e *Engine) RescheduleReserved(ev *Event, delay Time, seq uint64) {
 	if delay < 0 {
 		delay = 0
 	}
 	ev.At = e.now + delay
 	ev.canceled = false
-	ev.seq = e.nextSeq
-	e.nextSeq++
+	ev.seq = seq
 	if e.queued(ev) {
 		// Its key changed in place: restore the heap order around it.
 		if !e.down(ev.index) {
@@ -139,6 +166,37 @@ func (e *Engine) Reschedule(ev *Event, delay Time) {
 		return
 	}
 	e.push(ev)
+}
+
+// AtEndOfInstant queues fn to run once no live event is left at the
+// current time, before the clock advances: Step, StepDebug and Run run
+// the queued callbacks before they move the clock, before Run stops at
+// its horizon and before Step reports an empty queue. Callbacks run in
+// the order they were queued; one may schedule events (at the current
+// time too, which then fire before any later callback batch) or queue
+// further callbacks.
+func (e *Engine) AtEndOfInstant(fn func()) {
+	e.atEnd = append(e.atEnd, fn)
+}
+
+// endInstant runs the queued end-of-instant callbacks while no live
+// event is left at the current time.
+func (e *Engine) endInstant() {
+	for len(e.atEnd) > 0 {
+		for len(e.queue) > 0 && e.queue[0].canceled {
+			e.remove(0)
+		}
+		if len(e.queue) > 0 && e.queue[0].At <= e.now {
+			return // the instant is not over yet
+		}
+		fns := e.atEnd
+		e.atEnd = e.spare[:0]
+		for _, fn := range fns {
+			fn()
+		}
+		clear(fns)
+		e.spare = fns[:0]
+	}
 }
 
 // queued reports whether ev sits in the queue.
@@ -221,8 +279,11 @@ func (e *Engine) down(i0 int) bool {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Step fires the single earliest pending event and advances the clock to
-// its timestamp. It returns false when the queue is empty.
+// its timestamp. It returns false when the queue is empty. The current
+// instant's end-of-instant callbacks run first if no live event is left
+// at the current time.
 func (e *Engine) Step() bool {
+	e.endInstant()
 	for len(e.queue) > 0 {
 		ev := e.remove(0)
 		if ev.canceled {
@@ -242,6 +303,7 @@ func (e *Engine) Step() bool {
 func (e *Engine) Run(until Time) Time {
 	e.stopped = false
 	for !e.stopped {
+		e.endInstant()
 		if len(e.queue) == 0 {
 			break
 		}
@@ -261,6 +323,7 @@ func (e *Engine) RunAll() Time { return e.Run(Infinity) }
 // StepDebug is Step with an observer callback receiving the fired event's
 // name and time. Test/diagnostic use only.
 func (e *Engine) StepDebug(obs func(name string, at Time)) bool {
+	e.endInstant()
 	for len(e.queue) > 0 {
 		ev := e.remove(0)
 		if ev.canceled {

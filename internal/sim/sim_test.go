@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -501,20 +502,138 @@ func TestScheduleStepZeroAllocs(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		e.Schedule(Time(1e6+i%7), "far", func() {})
 	}
-	fired := 0
+	fired, settled := 0, 0
 	ev := NewEvent("tick", func() { fired++ })
+	settle := func() { settled++ } // bound once, like netsim's
 	cycle := func() {
 		e.Reschedule(ev, Time(fired%3))
 		e.Reschedule(ev, 1) // re-arm while queued: sifted in place
+		e.AtEndOfInstant(settle)
 		if !e.Step() {
 			t.Fatal("nothing to step")
 		}
 	}
 	cycle()
 	if n := testing.AllocsPerRun(200, cycle); n != 0 {
-		t.Fatalf("Reschedule + Step allocates %v times, want 0", n)
+		t.Fatalf("Reschedule + AtEndOfInstant + Step allocates %v times, want 0", n)
 	}
-	if fired != 202 || e.Pending() != 64 {
-		t.Fatalf("fired %d, pending %d; want 202, 64", fired, e.Pending())
+	if fired != 202 || settled != 202 || e.Pending() != 64 {
+		t.Fatalf("fired %d, settled %d, pending %d; want 202, 202, 64", fired, settled, e.Pending())
+	}
+}
+
+// endOfInstantScript queues a dirty-flag settle (once per instant, as
+// netsim does) from three events at t=1 and one at t=2, with a quiet
+// event at t=4, and returns the engine and a log of what ran when.
+func endOfInstantScript() (*Engine, *[]string) {
+	e := NewEngine()
+	var log []string
+	dirty := false
+	settle := func() {
+		dirty = false
+		log = append(log, fmt.Sprintf("settle@%v", e.Now()))
+	}
+	touch := func(name string) func() {
+		return func() {
+			log = append(log, fmt.Sprintf("%s@%v", name, e.Now()))
+			if !dirty {
+				dirty = true
+				e.AtEndOfInstant(settle)
+			}
+		}
+	}
+	e.Schedule(1, "a", touch("a"))
+	e.Schedule(1, "b", func() {
+		touch("b")()
+		e.After(0, "b0", touch("b0")) // zero delay: still this instant
+	})
+	e.Schedule(1, "c", touch("c"))
+	e.Schedule(2, "d", touch("d"))
+	e.Schedule(4, "quiet", func() { log = append(log, fmt.Sprintf("quiet@%v", e.Now())) })
+	return e, &log
+}
+
+// TestEndOfInstantOncePerInstant: callbacks queued during an instant run
+// once, after its last event (zero-delay ones included) and before the
+// clock moves on — under Step, StepDebug and Run alike.
+func TestEndOfInstantOncePerInstant(t *testing.T) {
+	want := "[a@1 b@1 c@1 b0@1 settle@1 d@2 settle@2 quiet@4]"
+	for name, drive := range map[string]func(*Engine){
+		"Step": func(e *Engine) {
+			for e.Step() {
+			}
+		},
+		"StepDebug": func(e *Engine) {
+			for e.StepDebug(nil) {
+			}
+		},
+		"Run": func(e *Engine) { e.RunAll() },
+	} {
+		e, log := endOfInstantScript()
+		drive(e)
+		if got := fmt.Sprint(*log); got != want {
+			t.Fatalf("%s: %s, want %s", name, got, want)
+		}
+	}
+}
+
+// TestEndOfInstantBeforeRunHorizon: Run(until) settles the last instant
+// before it stops at its horizon, and Step settles before it reports an
+// empty queue — also when the settle schedules the next event.
+func TestEndOfInstantBeforeRunHorizon(t *testing.T) {
+	e, log := endOfInstantScript()
+	if end := e.Run(3); end != 3 {
+		t.Fatalf("Run(3) ended at %v", end)
+	}
+	if got, want := fmt.Sprint(*log), "[a@1 b@1 c@1 b0@1 settle@1 d@2 settle@2]"; got != want {
+		t.Fatalf("Run(3): %s, want %s", got, want)
+	}
+
+	e = NewEngine()
+	fired := 0
+	e.AtEndOfInstant(func() { e.After(1, "next", func() { fired++ }) })
+	if !e.Step() || fired != 1 || e.Now() != 1 {
+		t.Fatalf("settle-scheduled event: fired %d at %v", fired, e.Now())
+	}
+	settled := false
+	e.AtEndOfInstant(func() { settled = true })
+	if e.Step() || !settled {
+		t.Fatalf("Step on an empty queue: settled %v", settled)
+	}
+}
+
+// TestRescheduleReservedMatchesReschedule: an event re-armed with a
+// sequence number reserved earlier breaks ties exactly as a Reschedule
+// at the moment of the reservation would have.
+func TestRescheduleReservedMatchesReschedule(t *testing.T) {
+	order := func(reserved bool) string {
+		e := NewEngine()
+		var log []string
+		mark := func(s string) func() { return func() { log = append(log, s) } }
+		ev := NewEvent("completion", mark("completion"))
+		e.Schedule(5, "early", mark("early"))
+		e.Schedule(2, "work", func() {
+			e.After(3, "before", mark("before"))
+			var seq uint64
+			if reserved {
+				seq = e.ReserveSeq()
+			} else {
+				e.Reschedule(ev, 3)
+			}
+			e.After(3, "after", mark("after"))
+			e.After(0, "same-instant", mark("same-instant"))
+			if reserved {
+				e.AtEndOfInstant(func() { e.RescheduleReserved(ev, 3, seq) })
+			}
+		})
+		e.RunAll()
+		return fmt.Sprint(log)
+	}
+	want := "[same-instant early before completion after]"
+	if got := order(false); got != want {
+		t.Fatalf("Reschedule order %s, want %s", got, want)
+	}
+	if got := order(true); got != want {
+		t.Fatalf("RescheduleReserved order %s, want %s", got, want)
 	}
 }

@@ -171,8 +171,11 @@ type JobConfig struct {
 	// when the job is built from a checkpoint.
 	InitialPlan *Plan
 	// Procs bounds parallel candidate scoring during reconfiguration
-	// decisions (<=0 selects GOMAXPROCS). The chosen plans are
-	// bit-identical at any setting; only wall-clock changes.
+	// decisions (<=0 selects GOMAXPROCS). It is an upper bound: a round
+	// fans out only as far as its measured scoring cost pays for, so the
+	// analytic predictor's rounds score on the calling goroutine. The
+	// chosen plans are bit-identical at any setting; only wall-clock
+	// changes.
 	Procs int
 	// CheckpointEvery takes a controller checkpoint every N completed
 	// iterations (0 disables). Checkpoints are skipped while a switch is
@@ -287,7 +290,12 @@ type Job struct {
 
 	cancel     atomic.Bool
 	fenceAbort atomic.Bool
-	done       chan struct{}
+	// attention asks the run loop to take its slow checks (cancel,
+	// context, pause gate) before the next event. Cancel, Pause and the
+	// run context's cancellation set it after their own state, and the
+	// loop clears it before reading that state, so no request is lost.
+	attention atomic.Bool
+	done      chan struct{}
 
 	// pauseMu guards the pause gate; pauseCh is non-nil while paused
 	// and closed by Resume.
@@ -464,6 +472,7 @@ func (j *Job) Status() JobStatus {
 // reconfiguration decision.
 func (j *Job) Cancel() {
 	j.cancel.Store(true)
+	j.attention.Store(true)
 	j.mu.Lock()
 	cancel := j.runCancel
 	j.mu.Unlock()
@@ -488,10 +497,11 @@ func (j *Job) Abort() {
 // Cancellation releases a paused job.
 func (j *Job) Pause() {
 	j.pauseMu.Lock()
-	defer j.pauseMu.Unlock()
 	if j.pauseCh == nil {
 		j.pauseCh = make(chan struct{})
 	}
+	j.pauseMu.Unlock()
+	j.attention.Store(true)
 }
 
 // Resume releases a paused job. Idempotent; safe from any goroutine.
@@ -606,9 +616,18 @@ func (j *Job) run(ctx context.Context) (JobResult, JobState, error) {
 	}
 	remaining := j.batches - j.base
 	j.ctl.Start(ctx, remaining)
-	for !j.stopped(ctx) {
-		if !j.waitIfPaused(ctx) {
-			break
+	stop := context.AfterFunc(ctx, func() { j.attention.Store(true) })
+	defer stop()
+	// One atomic load per event: the slow checks run only when a
+	// Cancel, Pause or context cancellation has asked for them (and
+	// once up front, for a Pause that came before Run).
+	j.attention.Store(true)
+	for {
+		if j.attention.Load() {
+			j.attention.Store(false)
+			if j.stopped(ctx) || !j.waitIfPaused(ctx) {
+				break
+			}
 		}
 		if !j.eng.Step() {
 			break

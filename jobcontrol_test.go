@@ -126,6 +126,86 @@ func TestJobCancelMidRun(t *testing.T) {
 	}
 }
 
+// runUntilProgress starts a job too large to finish quickly under ctx
+// and returns once it has completed an iteration, with the channel Run
+// reports on.
+func runUntilProgress(t *testing.T, ctx context.Context) (*Job, chan error) {
+	t.Helper()
+	j, err := NewJob(testJobConfig(), 50_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := j.Run(ctx)
+		errCh <- err
+	}()
+	deadline := time.Now().Add(30 * time.Second)
+	for j.Status().Iteration == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no progress observed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return j, errCh
+}
+
+// TestJobContextCancelMidRun: cancelling the run's context stops the
+// event loop at the next event boundary with the context's error, as
+// Cancel does with ErrCancelled.
+func TestJobContextCancelMidRun(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	j, errCh := runUntilProgress(t, ctx)
+	cancel()
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Run = %v, want context.Canceled", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("context cancellation not honoured")
+	}
+	if st := j.Status(); st.State != JobCancelled || st.Iteration == 0 {
+		t.Fatalf("status after context cancel = %+v", st)
+	}
+}
+
+// TestJobPauseResumeMidRun: Pause freezes a running job at an event
+// boundary, Resume lets it go on, and Cancel releases it.
+func TestJobPauseResumeMidRun(t *testing.T) {
+	j, errCh := runUntilProgress(t, context.Background())
+	j.Pause()
+	if !j.Paused() {
+		t.Fatal("Paused() = false after Pause")
+	}
+	// Let the loop reach its next event boundary, then watch it hold.
+	time.Sleep(50 * time.Millisecond)
+	frozen := j.Status().VirtualTime
+	time.Sleep(50 * time.Millisecond)
+	if vt := j.Status().VirtualTime; vt != frozen {
+		t.Fatalf("virtual time moved while paused: %v → %v", frozen, vt)
+	}
+	j.Resume()
+	deadline := time.Now().Add(30 * time.Second)
+	for j.Status().VirtualTime == frozen {
+		if time.Now().After(deadline) {
+			t.Fatal("no progress after Resume")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	j.Pause()
+	j.Cancel()
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, ErrCancelled) {
+			t.Fatalf("Run = %v, want ErrCancelled", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Cancel did not release a paused job")
+	}
+}
+
 func TestJobStatusJSON(t *testing.T) {
 	j, err := NewJob(testJobConfig(), 20)
 	if err != nil {
