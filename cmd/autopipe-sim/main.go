@@ -142,12 +142,8 @@ func main() {
 		fmt.Printf("wall clock: %.2fs real for %.2fs virtual\n", elapsed.Seconds(), res.WallTime)
 		fmt.Printf("final plan: %s\n", res.FinalPlan)
 		if *verbose {
-			n := len(res.DecisionLog)
-			if n > 10 {
-				res.DecisionLog = res.DecisionLog[n-10:]
-			}
-			for _, line := range res.DecisionLog {
-				fmt.Println("  decision:", line)
+			for _, d := range res.Decisions[max(len(res.Decisions)-10, 0):] {
+				fmt.Println("  decision:", d.String())
 			}
 		}
 	default:

@@ -173,6 +173,11 @@ type Controller struct {
 	itersSinceSwitch int
 	stats            Stats
 	excluded         map[int]bool // workers evicted after failure
+	// failScratch is detectFailures' reusable working memory.
+	failScratch struct {
+		workers, failed []int
+		times, sorted   []float64
+	}
 
 	// RNG draw tracking for Checkpoint (nil when the caller supplied
 	// its own Rng).

@@ -1,7 +1,7 @@
 package autopipe
 
 import (
-	"sort"
+	"slices"
 
 	"autopipe/internal/partition"
 	"autopipe/internal/pipeline"
@@ -24,41 +24,44 @@ import (
 const failureRatio = 8.0
 
 // detectFailures returns workers in the active plan whose total compute
-// time exceeds failureRatio × the median across plan workers. The median
-// is interpolated for even counts: the upper median would let a single
-// degraded worker in a half-degraded cluster inflate the threshold past
-// its own slowdown.
+// time exceeds failureRatio × the median across plan workers, in
+// ascending order. The median is interpolated for even counts: the
+// upper median would let a single degraded worker in a half-degraded
+// cluster inflate the threshold past its own slowdown. The result lives
+// in the controller's scratch and is valid until the next call.
 func (c *Controller) detectFailures(prof *profile.Profile) []int {
-	workers := c.plan.AllWorkers()
-	if len(workers) < 2 {
+	fs := &c.failScratch
+	fs.workers = fs.workers[:0]
+	for _, s := range c.plan.Stages {
+		fs.workers = append(fs.workers, s.Workers...)
+	}
+	if len(fs.workers) < 2 {
 		return nil
 	}
-	times := make([]float64, 0, len(workers))
-	byWorker := map[int]float64{}
-	for _, w := range workers {
-		t := prof.TotalComputeTime(w)
-		times = append(times, t)
-		byWorker[w] = t
+	fs.times = fs.times[:0]
+	for _, w := range fs.workers {
+		fs.times = append(fs.times, prof.TotalComputeTime(w))
 	}
-	sort.Float64s(times)
-	n := len(times)
+	fs.sorted = append(fs.sorted[:0], fs.times...)
+	slices.Sort(fs.sorted)
+	n := len(fs.sorted)
 	var median float64
 	if n%2 == 1 {
-		median = times[n/2]
+		median = fs.sorted[n/2]
 	} else {
-		median = (times[n/2-1] + times[n/2]) / 2
+		median = (fs.sorted[n/2-1] + fs.sorted[n/2]) / 2
 	}
 	if median <= 0 {
 		return nil
 	}
-	var failed []int
-	for _, w := range workers {
-		if byWorker[w] > failureRatio*median && !c.excluded[w] {
-			failed = append(failed, w)
+	fs.failed = fs.failed[:0]
+	for i, w := range fs.workers {
+		if fs.times[i] > failureRatio*median && !c.excluded[w] {
+			fs.failed = append(fs.failed, w)
 		}
 	}
-	sort.Ints(failed)
-	return failed
+	slices.Sort(fs.failed)
+	return fs.failed
 }
 
 // handleFailures evicts failed workers by replanning onto the survivors.

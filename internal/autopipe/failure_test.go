@@ -2,6 +2,7 @@ package autopipe
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"autopipe/internal/cluster"
@@ -9,6 +10,7 @@ import (
 	"autopipe/internal/netsim"
 	"autopipe/internal/partition"
 	"autopipe/internal/pipeline"
+	"autopipe/internal/profile"
 	"autopipe/internal/sim"
 	"autopipe/internal/trace"
 )
@@ -177,5 +179,36 @@ func TestAbortThenEvict(t *testing.T) {
 	}
 	if err := c.engine.SwitchIdle(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDetectFailuresLowAllocs: the failure check every control round
+// runs reuses the controller's scratch, so once warm it allocates
+// nothing, and it still names exactly the failed worker, whose entry in
+// the scratch a later call must not corrupt.
+func TestDetectFailuresLowAllocs(t *testing.T) {
+	cl := cluster.Testbed(cluster.Gbps(25))
+	m := model.Uniform(8, 5e10, 100000)
+	base := partition.EvenSplit(m.NumLayers(), []int{0, 1, 2, 3, 4})
+	eng := sim.NewEngine()
+	c, err := New(eng, netsim.New(eng, cl), Config{
+		Model: m, Cluster: cl, Workers: []int{0, 1, 2, 3, 4}, InitialPlan: &base,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.SetCompetingJobs(3, 20)
+	prof := profile.NewProfiler(m, cl).Observe()
+	var got []int
+	run := func() { got = c.detectFailures(prof) }
+	run()
+	if !slices.Equal(got, []int{3}) {
+		t.Fatalf("detectFailures = %v, want [3]", got)
+	}
+	if n := testing.AllocsPerRun(20, run); n != 0 {
+		t.Fatalf("detectFailures allocates %v/op, want 0", n)
+	}
+	if !slices.Equal(got, []int{3}) {
+		t.Fatalf("detectFailures after reuse = %v, want [3]", got)
 	}
 }

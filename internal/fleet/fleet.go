@@ -354,9 +354,18 @@ type netfaultRequest struct {
 	Add   []netfault.Rule `json:"add,omitempty"`
 }
 
+// localJobsResponse carries a node's job views as the node encoded
+// them (Registry.ListViews).
 type localJobsResponse struct {
-	Node string           `json:"node"`
-	Jobs []server.JobInfo `json:"jobs"`
+	Node string            `json:"node"`
+	Jobs []json.RawMessage `json:"jobs"`
+}
+
+// listKey is what the aggregated listing orders job views by; decoding
+// only these fields leaves the rest of each view unparsed.
+type listKey struct {
+	ID      string    `json:"id"`
+	Created time.Time `json:"created_at"`
 }
 
 // ClusterView is the GET /v1/cluster response.
@@ -473,7 +482,11 @@ func (n *Node) submitLocal(w http.ResponseWriter, id string, spec server.JobSpec
 // handleList aggregates the cluster-wide job table; a forwarded request
 // answers with local jobs only.
 func (n *Node) handleList(w http.ResponseWriter, req *http.Request) {
-	jobs := n.reg.List()
+	jobs, err := n.reg.ListViews()
+	if err != nil {
+		server.WriteError(w, http.StatusInternalServerError, err)
+		return
+	}
 	if req.Header.Get(forwardedHeader) == "" {
 		for _, t := range n.members.targets() {
 			var resp localJobsResponse
@@ -483,37 +496,54 @@ func (n *Node) handleList(w http.ResponseWriter, req *http.Request) {
 			}
 			jobs = append(jobs, resp.Jobs...)
 		}
-		sort.Slice(jobs, func(i, j int) bool {
-			if !jobs[i].Created.Equal(jobs[j].Created) {
-				return jobs[i].Created.Before(jobs[j].Created)
+		keyed := make([]struct {
+			listKey
+			view json.RawMessage
+		}, len(jobs))
+		for i, view := range jobs {
+			keyed[i].view = view
+			json.Unmarshal(view, &keyed[i].listKey) // a view that does not decode sorts first
+		}
+		sort.Slice(keyed, func(i, j int) bool {
+			a, b := &keyed[i].listKey, &keyed[j].listKey
+			if !a.Created.Equal(b.Created) {
+				return a.Created.Before(b.Created)
 			}
-			return jobs[i].ID < jobs[j].ID
+			return a.ID < b.ID
 		})
+		for i := range keyed {
+			jobs[i] = keyed[i].view
+		}
 	}
 	server.WriteJSON(w, http.StatusOK, map[string]any{"jobs": jobs})
 }
 
 func (n *Node) handleLocalJobs(w http.ResponseWriter, req *http.Request) {
-	server.WriteJSON(w, http.StatusOK, localJobsResponse{Node: n.cfg.ID, Jobs: n.reg.List()})
+	jobs, err := n.reg.ListViews()
+	if err != nil {
+		server.WriteError(w, http.StatusInternalServerError, err)
+		return
+	}
+	server.WriteJSON(w, http.StatusOK, localJobsResponse{Node: n.cfg.ID, Jobs: jobs})
 }
 
 func (n *Node) handleGet(w http.ResponseWriter, req *http.Request) {
-	n.proxyJob(w, req, func(id string) (server.JobInfo, error) { return n.reg.Get(id) })
+	n.proxyJob(w, req, n.reg.View)
 }
 
 func (n *Node) handleCancel(w http.ResponseWriter, req *http.Request) {
-	n.proxyJob(w, req, func(id string) (server.JobInfo, error) { return n.reg.Cancel(id) })
+	n.proxyJob(w, req, n.reg.CancelView)
 }
 
 // proxyJob serves a per-job request locally when the job is hosted
-// here, otherwise forwards it to the ring owner. Forwarded requests are
-// always answered locally: a stale ring cannot cause a loop, only a
-// 404.
-func (n *Node) proxyJob(w http.ResponseWriter, req *http.Request, local func(string) (server.JobInfo, error)) {
+// here, answering with the view local returns, otherwise forwards it to
+// the ring owner. Forwarded requests are always answered locally: a
+// stale ring cannot cause a loop, only a 404.
+func (n *Node) proxyJob(w http.ResponseWriter, req *http.Request, local func(string) ([]byte, error)) {
 	id := req.PathValue("id")
-	info, err := local(id)
-	if err == nil {
-		server.WriteJSON(w, http.StatusOK, info)
+	view, err := local(id)
+	if !errors.Is(err, server.ErrNotFound) {
+		server.WriteView(w, view, err)
 		return
 	}
 	// If fencing moved the job to another node while this one was
@@ -953,9 +983,9 @@ func (n *Node) syncJob(id string) {
 // replication's repair path for dropped records and membership changes.
 func (n *Node) resyncAll() {
 	byDest := map[string][]string{}
-	for _, info := range n.reg.List() {
-		if dest := n.ring.OwnerExcluding(info.ID, n.cfg.ID); dest != "" {
-			byDest[dest] = append(byDest[dest], info.ID)
+	for _, job := range n.reg.HostedFences() {
+		if dest := n.ring.OwnerExcluding(job.ID, n.cfg.ID); dest != "" {
+			byDest[dest] = append(byDest[dest], job.ID)
 		}
 	}
 	for dest, ids := range byDest {

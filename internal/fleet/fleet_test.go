@@ -359,3 +359,132 @@ func TestFleetMetricsSurface(t *testing.T) {
 		tn.n.Kill()
 	}
 }
+
+// TestProxiedGetMatchesOwner: a GET for a finished job answered through
+// a node that does not host it is byte-equal to the owner's own answer,
+// which is json.Marshal of the owner's JobInfo plus a newline.
+func TestProxiedGetMatchesOwner(t *testing.T) {
+	nodes := startTrio(t, 10*time.Millisecond, poolOpts(2))
+	byID := map[string]*testNode{}
+	for _, tn := range nodes {
+		byID[tn.n.cfg.ID] = tn
+	}
+	body := func(url string) []byte {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d, %v", url, resp.StatusCode, err)
+		}
+		return b
+	}
+	proxied := 0
+	for i := 0; i < 6; i++ {
+		var info server.JobInfo
+		if code := doJSON(t, http.MethodPost, nodes[0].srv.URL+"/v1/jobs", smallSpec(), &info); code != http.StatusCreated {
+			t.Fatalf("submit %d: status %d", i, code)
+		}
+		owner := byID[info.Node]
+		waitFor(t, "the job to finish", func() bool {
+			got, err := owner.n.reg.Get(info.ID)
+			return err == nil && got.Status.State == autopipe.JobDone
+		})
+		local := body(owner.srv.URL + "/v1/jobs/" + info.ID)
+		got, _ := owner.n.reg.Get(info.ID)
+		want, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(local, append(want, '\n')) {
+			t.Fatalf("owner GET %s\n%s\nwant json.Marshal(Get) and a newline:\n%s", info.ID, local, want)
+		}
+		for _, tn := range nodes {
+			if tn == owner {
+				continue
+			}
+			if via := body(tn.srv.URL + "/v1/jobs/" + info.ID); !bytes.Equal(via, local) {
+				t.Fatalf("GET %s via %s\n%s\nowner answered\n%s", info.ID, tn.n.cfg.ID, via, local)
+			}
+			proxied++
+		}
+	}
+	if proxied == 0 {
+		t.Fatal("no GET was proxied")
+	}
+	for _, tn := range nodes {
+		tn.n.Kill()
+	}
+}
+
+// TestListingKeepsFinishedViewsEncoded: the aggregated and the per-node
+// job listings send each finished job's view as the registry holds it,
+// decoding no more of it than the id and creation time the aggregated
+// listing sorts by. Measured as the allocations each further finished
+// job adds to one listing: decoding a whole JobInfo costs a hundred or
+// more. The aggregated listing still holds every job, in order.
+func TestListingKeepsFinishedViewsEncoded(t *testing.T) {
+	solo := startNode(t, "solo", nil, time.Hour, server.Options{PoolSize: 2})
+	defer solo.n.Kill()
+	var ids []string
+	finish := func(n int) {
+		for i := 0; i < n; i++ {
+			info, err := solo.n.reg.Submit(smallSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, info.ID)
+		}
+		for _, id := range ids {
+			waitFor(t, "the jobs to finish", func() bool {
+				info, err := solo.n.reg.Get(id)
+				return err == nil && info.Status.State == autopipe.JobDone
+			})
+		}
+	}
+	listings := []struct {
+		name   string
+		handle http.HandlerFunc
+	}{{"aggregated", solo.n.handleList}, {"local", solo.n.handleLocalJobs}}
+	allocs := func() []float64 {
+		out := make([]float64, len(listings))
+		for i, l := range listings {
+			req := httptest.NewRequest(http.MethodGet, "/v1/jobs", nil)
+			out[i] = testing.AllocsPerRun(20, func() {
+				l.handle(httptest.NewRecorder(), req)
+			})
+		}
+		return out
+	}
+	const step = 30
+	finish(step)
+	before := allocs()
+	finish(step)
+	after := allocs()
+	for i, l := range listings {
+		perJob := (after[i] - before[i]) / step
+		t.Logf("%s listing: %.1f allocations per finished job", l.name, perJob)
+		if perJob > 20 {
+			t.Errorf("%s listing: %.1f allocations per finished job (%.0f at %d jobs, %.0f at %d)",
+				l.name, perJob, before[i], step, after[i], 2*step)
+		}
+	}
+
+	var listed struct{ Jobs []server.JobInfo }
+	if code := doJSON(t, http.MethodGet, solo.srv.URL+"/v1/jobs", nil, &listed); code != http.StatusOK {
+		t.Fatalf("GET /v1/jobs = %d", code)
+	}
+	if len(listed.Jobs) != len(ids) {
+		t.Fatalf("listed %d jobs, want %d", len(listed.Jobs), len(ids))
+	}
+	for i, got := range listed.Jobs {
+		want, _ := solo.n.reg.Get(ids[i])
+		g, _ := json.Marshal(got)
+		w, _ := json.Marshal(want)
+		if !bytes.Equal(g, w) {
+			t.Fatalf("listing entry %d\n%s\nGet(%s)\n%s", i, g, ids[i], w)
+		}
+	}
+}

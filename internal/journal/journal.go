@@ -9,8 +9,10 @@
 // Recovery is deliberately forgiving about torn writes: replay stops at
 // the first corrupted frame, truncates that segment there, and discards
 // any later segments (an fsync'd append-only log can only be corrupt at
-// the point the crash tore it). Corruption is repaired and counted, not
-// fatal.
+// the point the crash tore it). A failed append is cut off at once, and
+// the journal refuses appends while it cannot cut it off, so no
+// acknowledged record ever lands behind a torn frame. Corruption is
+// repaired and counted, not fatal.
 //
 // On-disk frame, little-endian:
 //
@@ -123,9 +125,14 @@ type Journal struct {
 	// touched with writeMu held. Lock order is writeMu then mu, never
 	// the reverse.
 	writeMu    sync.Mutex
-	active     *os.File
+	active     segmentFile
 	activeSeq  int
 	activeSize int64
+	// torn marks an active segment that may end in a partial frame a
+	// failed write left behind and could not cut off. Until a commit's
+	// truncate succeeds or Compact replaces the segment, every commit
+	// fails without writing.
+	torn bool
 
 	mu       sync.Mutex
 	cur      *appendBatch // accumulating batch; nil until a writer arrives
@@ -139,15 +146,17 @@ type Journal struct {
 	// held — letting tests stall the leader while followers pile into
 	// the next batch.
 	commitHook func(claimed int64)
-	// compactFile, when set (tests only), wraps the segment file that
-	// Compact writes, so a test can fail its writes or fsync.
-	compactFile func(*os.File) segmentFile
+	// wrapSegment, when set (tests only), wraps every segment file the
+	// journal opens from then on — appends, rotations and compactions
+	// alike — so a test can fail its writes, fsync or truncate.
+	wrapSegment func(*os.File) segmentFile
 }
 
-// segmentFile is the part of a segment file Compact writes through.
+// segmentFile is the part of a segment file the journal writes through.
 type segmentFile interface {
 	Write(p []byte) (int, error)
 	Sync() error
+	Truncate(size int64) error
 	Close() error
 }
 
@@ -230,7 +239,7 @@ func (j *Journal) listSegments() ([]int, error) {
 	return seqs, nil
 }
 
-func (j *Journal) openSegment(seq int) (*os.File, int64, error) {
+func (j *Journal) openSegment(seq int) (segmentFile, int64, error) {
 	path := filepath.Join(j.dir, segName(seq))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -240,6 +249,9 @@ func (j *Journal) openSegment(seq int) (*os.File, int64, error) {
 	if err != nil {
 		f.Close()
 		return nil, 0, fmt.Errorf("journal: stat segment: %w", err)
+	}
+	if j.wrapSegment != nil {
+		return j.wrapSegment(f), st.Size(), nil
 	}
 	return f, st.Size(), nil
 }
@@ -253,8 +265,7 @@ var errClosed = fmt.Errorf("journal: closed")
 // appenders pay far fewer than N fsyncs while every caller still only
 // returns once its record is on disk.
 func (j *Journal) Append(rec Record) error {
-	frame, err := encodeFrame(rec)
-	if err != nil {
+	if err := checkFrame(rec); err != nil {
 		return err
 	}
 	j.mu.Lock()
@@ -267,7 +278,7 @@ func (j *Journal) Append(rec Record) error {
 		b = &appendBatch{}
 		j.cur = b
 	}
-	b.buf = append(b.buf, frame...)
+	b.buf = appendFrame(b.buf, rec)
 	b.count++
 	j.mu.Unlock()
 
@@ -290,7 +301,7 @@ func (j *Journal) Append(rec Record) error {
 	if j.commitHook != nil {
 		j.commitHook(b.count)
 	}
-	err = errClosed
+	err := errClosed
 	if !closed {
 		err = j.writeBatch(b.buf)
 	}
@@ -308,13 +319,27 @@ func (j *Journal) Append(rec Record) error {
 // writeBatch writes one claimed batch to the active segment and fsyncs
 // it, rotating first if the batch would overflow the segment. Caller
 // holds writeMu (and not mu).
+//
+// A failed or short write is cut off again: the segment is opened
+// O_APPEND, so a partial frame left in place would sit in front of the
+// next batch, and replay — which stops at the first bad frame — would
+// hide every record acknowledged after it. If the truncate fails too,
+// the segment is torn: each later commit retries the truncate and fails
+// without writing until it succeeds or Compact replaces the segment.
 func (j *Journal) writeBatch(buf []byte) error {
+	if j.torn {
+		if err := j.active.Truncate(j.activeSize); err != nil {
+			return fmt.Errorf("journal: segment ends in a failed write: %w", err)
+		}
+		j.torn = false
+	}
 	if j.activeSize > 0 && j.activeSize+int64(len(buf)) > j.opts.SegmentBytes {
 		if err := j.rotate(); err != nil {
 			return err
 		}
 	}
 	if _, err := j.active.Write(buf); err != nil {
+		j.torn = j.active.Truncate(j.activeSize) != nil
 		return fmt.Errorf("journal: append: %w", err)
 	}
 	if err := j.syncFile(j.active); err != nil {
@@ -363,30 +388,45 @@ func (j *Journal) Compact(live []Record) error {
 	if err != nil {
 		return err
 	}
-	var w segmentFile = f
-	if j.compactFile != nil {
-		w = j.compactFile(f)
-	}
 	// Any failure removes the partial segment: left behind, the next
 	// rotate would append to it behind a torn frame, and a reopen would
 	// replay its stale records after the newer ones in the active one.
 	fail := func(err error) error {
-		w.Close()
+		f.Close()
 		os.Remove(filepath.Join(j.dir, segName(next)))
 		return err
 	}
-	var size int64
+	// Frames are gathered into chunks of compactChunkBytes, so a
+	// compaction of thousands of records costs a handful of writes.
+	var (
+		size int64
+		buf  []byte
+	)
+	flush := func() error {
+		if _, err := f.Write(buf); err != nil {
+			return fmt.Errorf("journal: compact write: %w", err)
+		}
+		size += int64(len(buf))
+		buf = buf[:0]
+		return nil
+	}
 	for _, rec := range live {
-		frame, err := encodeFrame(rec)
-		if err != nil {
+		if err := checkFrame(rec); err != nil {
 			return fail(err)
 		}
-		if _, err := w.Write(frame); err != nil {
-			return fail(fmt.Errorf("journal: compact write: %w", err))
+		buf = appendFrame(buf, rec)
+		if len(buf) >= compactChunkBytes {
+			if err := flush(); err != nil {
+				return fail(err)
+			}
 		}
-		size += int64(len(frame))
 	}
-	if err := j.syncFile(w); err != nil {
+	if len(buf) > 0 {
+		if err := flush(); err != nil {
+			return fail(err)
+		}
+	}
+	if err := j.syncFile(f); err != nil {
 		return fail(err)
 	}
 	if err := j.syncDir(); err != nil {
@@ -394,7 +434,7 @@ func (j *Journal) Compact(live []Record) error {
 	}
 	// The compacted segment is durable; old history can go.
 	j.active.Close()
-	j.active, j.activeSeq, j.activeSize = f, next, size
+	j.active, j.activeSeq, j.activeSize, j.torn = f, next, size, false
 	j.mu.Lock()
 	old := j.segments
 	j.segments = []int{next}
@@ -516,24 +556,35 @@ const (
 	fenceBytes  = 8
 )
 
-func encodeFrame(rec Record) ([]byte, error) {
+// compactChunkBytes is the size Compact gathers frames to before each
+// write.
+const compactChunkBytes = 256 << 10
+
+// checkFrame reports a record that cannot be framed.
+func checkFrame(rec Record) error {
 	if len(rec.JobID) > 1<<16-1 {
-		return nil, fmt.Errorf("journal: job id too long (%d bytes)", len(rec.JobID))
+		return fmt.Errorf("journal: job id too long (%d bytes)", len(rec.JobID))
 	}
+	if payload := typeBytes + idLenBytes + len(rec.JobID) + fenceBytes + len(rec.Data); payload > maxPayloadBytes {
+		return fmt.Errorf("journal: record too large (%d bytes)", payload)
+	}
+	return nil
+}
+
+// appendFrame appends rec's frame to dst. The record must pass
+// checkFrame.
+func appendFrame(dst []byte, rec Record) []byte {
 	payload := typeBytes + idLenBytes + len(rec.JobID) + fenceBytes + len(rec.Data)
-	if payload > maxPayloadBytes {
-		return nil, fmt.Errorf("journal: record too large (%d bytes)", payload)
-	}
-	buf := make([]byte, headerBytes+payload)
-	p := buf[headerBytes:]
-	p[0] = byte(rec.Type)
-	binary.LittleEndian.PutUint16(p[1:], uint16(len(rec.JobID)))
-	copy(p[3:], rec.JobID)
-	binary.LittleEndian.PutUint64(p[3+len(rec.JobID):], rec.Fence)
-	copy(p[3+len(rec.JobID)+fenceBytes:], rec.Data)
-	binary.LittleEndian.PutUint32(buf[0:], uint32(payload))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(p))
-	return buf, nil
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(payload))
+	dst = binary.LittleEndian.AppendUint32(dst, 0) // CRC, filled in below
+	dst = append(dst, byte(rec.Type))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(rec.JobID)))
+	dst = append(dst, rec.JobID...)
+	dst = binary.LittleEndian.AppendUint64(dst, rec.Fence)
+	dst = append(dst, rec.Data...)
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(dst[start+headerBytes:]))
+	return dst
 }
 
 // decodeAll parses frames from data until the first corrupt or partial

@@ -18,6 +18,14 @@ func mustOpen(t *testing.T, dir string, opts Options) (*Journal, []Record) {
 	return j, recs
 }
 
+// encodeFrame returns r's frame on its own.
+func encodeFrame(r Record) ([]byte, error) {
+	if err := checkFrame(r); err != nil {
+		return nil, err
+	}
+	return appendFrame(nil, r), nil
+}
+
 func rec(i int) Record {
 	return Record{
 		Type:  Type(1 + i%4),
@@ -424,7 +432,7 @@ func TestFailedCompactRemovesPartialSegment(t *testing.T) {
 		name string
 		seg  faultySegment
 	}{
-		{"torn write", faultySegment{writes: 2}},
+		{"torn write", faultySegment{writes: 0}},
 		{"fsync", faultySegment{writes: 3, failSync: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -432,7 +440,7 @@ func TestFailedCompactRemovesPartialSegment(t *testing.T) {
 			opts := Options{SegmentBytes: 400}
 			j, _ := mustOpen(t, dir, opts)
 			appendN(t, j, 6)
-			j.compactFile = func(f *os.File) segmentFile {
+			j.wrapSegment = func(f *os.File) segmentFile {
 				seg := tc.seg
 				seg.File = f
 				return &seg
@@ -463,6 +471,121 @@ func TestFailedCompactRemovesPartialSegment(t *testing.T) {
 			j, recs = mustOpen(t, dir, opts)
 			defer j.Close()
 			checkRecs(t, recs, 16)
+		})
+	}
+}
+
+// tornFile fails the next write after tear is set, writing only its
+// first keep bytes (a short write), and fails every truncate with
+// failTruncate.
+type tornFile struct {
+	*os.File
+	tear         bool
+	keep         int
+	failTruncate bool
+}
+
+func (f *tornFile) Write(p []byte) (int, error) {
+	if f.tear {
+		f.tear = false
+		n, _ := f.File.Write(p[:f.keep])
+		return n, errInjected
+	}
+	return f.File.Write(p)
+}
+
+func (f *tornFile) Truncate(size int64) error {
+	if f.failTruncate {
+		return errInjected
+	}
+	return f.File.Truncate(size)
+}
+
+// TestTornAppendKeepsLaterRecords: an append whose write fails part way
+// must not hide the records acknowledged after it. The journal cuts the
+// partial frame off again; when the truncate fails too, it refuses
+// every append until a retried truncate succeeds or a compaction
+// replaces the segment. Either way a reopen replays every acknowledged
+// record, in order, and the repair holds across a second reopen.
+func TestTornAppendKeepsLaterRecords(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		keep         int // bytes of the failed frame that reach the file
+		failTruncate bool
+		// repair, for a truncate that fails, clears the tear after one
+		// refused append.
+		repair func(j *Journal, seg *tornFile, acked []Record) error
+	}{
+		{name: "truncated/half-frame", keep: 18},
+		{name: "truncated/part-header", keep: 3},
+		{name: "retried/half-frame", keep: 18, failTruncate: true,
+			repair: func(j *Journal, seg *tornFile, acked []Record) error {
+				seg.failTruncate = false
+				return nil
+			}},
+		{name: "compacted/part-header", keep: 3, failTruncate: true,
+			repair: func(j *Journal, seg *tornFile, acked []Record) error {
+				return j.Compact(acked)
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			j, _ := mustOpen(t, dir, Options{})
+			appendN(t, j, 4)
+			var seg *tornFile // the active segment's wrapper
+			j.wrapSegment = func(f *os.File) segmentFile {
+				seg = &tornFile{File: f, keep: tc.keep, failTruncate: tc.failTruncate}
+				return seg
+			}
+			j.writeMu.Lock()
+			err := j.rotate()
+			j.writeMu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Append(rec(4)); err != nil {
+				t.Fatal(err)
+			}
+			seg.tear = true
+			if err := j.Append(rec(5)); !errors.Is(err, errInjected) {
+				t.Fatalf("torn append = %v, want the injected fault", err)
+			}
+			acked := []Record{rec(0), rec(1), rec(2), rec(3), rec(4)}
+			if tc.repair != nil {
+				if err := j.Append(rec(6)); !errors.Is(err, errInjected) {
+					t.Fatalf("append behind an uncut tear = %v, want it refused", err)
+				}
+				if err := tc.repair(j, seg, acked); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 7; i < 9; i++ {
+				if err := j.Append(rec(i)); err != nil {
+					t.Fatalf("append after a torn one: %v", err)
+				}
+				acked = append(acked, rec(i))
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for reopen := 1; reopen <= 2; reopen++ {
+				j, recs := mustOpen(t, dir, Options{})
+				st := j.Stats()
+				j.Close()
+				if len(recs) != len(acked) {
+					t.Fatalf("reopen %d replayed %d records, want the %d acknowledged (stats %+v)",
+						reopen, len(recs), len(acked), st)
+				}
+				for i, r := range recs {
+					w := acked[i]
+					if r.Type != w.Type || r.JobID != w.JobID || r.Fence != w.Fence || !bytes.Equal(r.Data, w.Data) {
+						t.Fatalf("reopen %d: record %d = %+v, want %+v", reopen, i, r, w)
+					}
+				}
+				if st.DroppedSegments != 0 || st.TruncatedBytes != 0 {
+					t.Fatalf("reopen %d: stats %+v", reopen, st)
+				}
+			}
 		})
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -74,8 +75,17 @@ func (r *Registry) SubmitWithID(id string, spec JobSpec) (JobInfo, error) {
 
 	r.startWatchdog()
 	// The spec is durable before the submission is acknowledged: a
-	// crash after this point re-queues the job on recovery.
-	err = r.journalAppend(journal.TypeSubmitted, m.id, m.fence, submittedRec{ID: m.id, Created: m.created, Spec: spec})
+	// crash after this point re-queues the job on recovery. The payload
+	// is kept: compaction, export and resync copy it from here on.
+	sub, err := json.Marshal(submittedRec{ID: m.id, Created: m.created, Spec: spec})
+	if err == nil {
+		m.mu.Lock()
+		m.sub = sub
+		m.mu.Unlock()
+		err = r.journalAppend(journal.TypeSubmitted, m.id, m.fence, sub)
+	} else {
+		r.count(&r.counters.JournalErrors, 1)
+	}
 	r.mu.Lock()
 	r.settleLocked()
 	if err != nil {
@@ -139,6 +149,17 @@ func (r *Registry) Get(id string) (JobInfo, error) {
 	return r.info(m), nil
 }
 
+// View returns one job's info encoded as JSON, as json.Marshal encodes
+// what Get returns. A finished job's view is its frozen bytes, shared:
+// the caller must not modify them.
+func (r *Registry) View(id string) ([]byte, error) {
+	m, ok := r.lookup(id)
+	if !ok {
+		return nil, ErrNotFound
+	}
+	return r.view(m)
+}
+
 // List returns every job in submission order.
 func (r *Registry) List() []JobInfo {
 	order := r.snapshotOrder()
@@ -149,6 +170,24 @@ func (r *Registry) List() []JobInfo {
 		}
 	}
 	return out
+}
+
+// ListViews returns every job's View in submission order.
+func (r *Registry) ListViews() ([]json.RawMessage, error) {
+	order := r.snapshotOrder()
+	out := make([]json.RawMessage, 0, len(order))
+	for _, id := range order {
+		m, ok := r.lookup(id)
+		if !ok {
+			continue
+		}
+		view, err := r.view(m)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, view)
+	}
+	return out, nil
 }
 
 // Cancel stops a queued or running job. Cancelling a finished job is a
@@ -162,24 +201,45 @@ func (r *Registry) Cancel(id string) (JobInfo, error) {
 	return r.info(m), nil
 }
 
-func (r *Registry) info(m *managedJob) JobInfo {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return r.infoLocked(m)
+// CancelView is Cancel answering with View's encoding.
+func (r *Registry) CancelView(id string) ([]byte, error) {
+	m, ok := r.lookup(id)
+	if !ok {
+		return nil, ErrNotFound
+	}
+	m.halt(false)
+	return r.view(m)
 }
 
-// infoLocked presents a job in its current phase. Caller holds m.mu.
-func (r *Registry) infoLocked(m *managedJob) JobInfo {
-	if m.final != nil {
-		info := *m.final
-		// A journal-restored (or adopted) result lives wherever it was
-		// rebuilt: present the current host, not the original owner.
-		if r.opts.NodeID != "" {
-			info.Node = r.opts.NodeID
-		}
-		info.Fence = m.fence
-		return info
+func (r *Registry) info(m *managedJob) JobInfo {
+	m.mu.Lock()
+	if f := m.done; f != nil {
+		m.mu.Unlock()
+		return f.decode()
 	}
+	defer m.mu.Unlock()
+	return r.liveInfoLocked(m)
+}
+
+// view encodes a job's info: the frozen bytes once it has finished.
+func (r *Registry) view(m *managedJob) ([]byte, error) {
+	m.mu.Lock()
+	if f := m.done; f != nil {
+		m.mu.Unlock()
+		return f.view, nil
+	}
+	info := r.liveInfoLocked(m)
+	m.mu.Unlock()
+	b, err := json.Marshal(info)
+	if err != nil {
+		return nil, fmt.Errorf("server: encode job %s: %w", m.id, err)
+	}
+	return b, nil
+}
+
+// liveInfoLocked presents a job that has not finished, in its current
+// phase. Caller holds m.mu.
+func (r *Registry) liveInfoLocked(m *managedJob) JobInfo {
 	info := JobInfo{
 		ID:      m.id,
 		Created: m.created,
@@ -208,14 +268,67 @@ func (r *Registry) infoLocked(m *managedJob) JobInfo {
 	return info
 }
 
+// stateLocked is the state a job presents, read without building its
+// view. Caller holds m.mu.
+func (m *managedJob) stateLocked() autopipe.JobState {
+	switch {
+	case m.done != nil:
+		return m.done.sum.state
+	case m.overrideReason != "":
+		return m.overrideState
+	case m.job == nil:
+		return autopipe.JobQueued
+	}
+	return m.job.Status().State
+}
+
+// summaries returns every job's summary in submission order: a
+// finished job's is frozen with it, a live one's is read off its view.
+func (r *Registry) summaries() []jobSummary {
+	order := r.snapshotOrder()
+	out := make([]jobSummary, 0, len(order))
+	for _, id := range order {
+		m, ok := r.lookup(id)
+		if !ok {
+			continue
+		}
+		m.mu.Lock()
+		var sum summary
+		if m.done != nil {
+			sum = m.done.sum
+		} else {
+			info := r.liveInfoLocked(m)
+			sum = summarize(&info)
+		}
+		m.mu.Unlock()
+		out = append(out, jobSummary{id: id, summary: sum})
+	}
+	return out
+}
+
+// jobSummary is one job's summary under its id.
+type jobSummary struct {
+	id string
+	summary
+}
+
+// jobCount is the number of hosted jobs.
+func (r *Registry) jobCount() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.order)
+}
+
 // StateCounts tallies jobs by lifecycle state.
 func (r *Registry) StateCounts() map[autopipe.JobState]int {
 	counts := map[autopipe.JobState]int{
 		autopipe.JobQueued: 0, autopipe.JobRunning: 0, autopipe.JobDone: 0,
 		autopipe.JobFailed: 0, autopipe.JobCancelled: 0,
 	}
-	for _, info := range r.List() {
-		counts[info.Status.State]++
+	for _, m := range r.allJobs() {
+		m.mu.Lock()
+		counts[m.stateLocked()]++
+		m.mu.Unlock()
 	}
 	return counts
 }

@@ -248,7 +248,7 @@ func TestBuildRace(t *testing.T) {
 			waitFor(t, "the job to finish", func() bool {
 				m.mu.Lock()
 				defer m.mu.Unlock()
-				return m.final != nil
+				return m.done != nil
 			})
 			got := r.info(m)
 			if got.Status.State != autopipe.JobCancelled || got.Status.Iteration != 0 {

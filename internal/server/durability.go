@@ -32,7 +32,13 @@ type completedRec struct {
 	Info JobInfo `json:"info"`
 }
 
-// journalAppend marshals and fsyncs one record, and counts and returns
+// runningRec is the payload of a job's running record.
+func runningRec(id string) []byte {
+	data, _ := json.Marshal(stateRec{ID: id, State: autopipe.JobRunning}) // strings always encode
+	return data
+}
+
+// journalAppend fsyncs one record's payload, and counts and returns
 // a failure. Only admission acts on the error; every other record is
 // count-and-continue, so the registry keeps serving with degraded
 // durability. Callers must not hold r.mu (fsync under the registry lock
@@ -40,8 +46,9 @@ type completedRec struct {
 // journal or not, so fleet replication works on journal-less registries
 // too. Records at or below a job's fence tombstone, and everything
 // after Kill, are discarded: a stale copy's output must not reach disk
-// or the replication stream.
-func (r *Registry) journalAppend(typ journal.Type, id string, fence uint64, payload any) error {
+// or the replication stream. data is shared with the journal's caller
+// and OnRecord, so nobody may modify it.
+func (r *Registry) journalAppend(typ journal.Type, id string, fence uint64, data []byte) error {
 	if (r.opts.Journal == nil && r.opts.OnRecord == nil) || r.killed.Load() {
 		return nil
 	}
@@ -50,15 +57,13 @@ func (r *Registry) journalAppend(typ journal.Type, id string, fence uint64, payl
 	}
 	r.jmu.RLock()
 	defer r.jmu.RUnlock()
-	data, err := json.Marshal(payload)
-	if err == nil {
-		rec := journal.Record{Type: typ, JobID: id, Fence: fence, Data: data}
-		if r.opts.Journal != nil {
-			err = r.opts.Journal.Append(rec)
-		}
-		if err == nil && r.opts.OnRecord != nil {
-			r.opts.OnRecord(rec)
-		}
+	var err error
+	rec := journal.Record{Type: typ, JobID: id, Fence: fence, Data: data}
+	if r.opts.Journal != nil {
+		err = r.opts.Journal.Append(rec)
+	}
+	if err == nil && r.opts.OnRecord != nil {
+		r.opts.OnRecord(rec)
 	}
 	if err != nil {
 		r.count(&r.counters.JournalErrors, 1)
@@ -110,7 +115,7 @@ func (r *Registry) wantsCompaction() bool {
 // otherwise its submission plus any running state and checkpoint.
 // Caller holds m.mu.
 func (m *managedJob) recordsLocked() int {
-	if m.final != nil {
+	if m.done != nil {
 		return 2
 	}
 	n := 1
@@ -167,14 +172,12 @@ func (r *Registry) ExportRecords(ids ...string) []journal.Record {
 // job when nil) as a compact record stream: one submission per job,
 // plus its final result, or else the running state and latest
 // checkpoint it has — a queued job recovered or adopted mid-run keeps
-// them. Replaying it is equivalent to replaying the full history.
+// them. Replaying it is equivalent to replaying the full history. Each
+// payload but a running record is the one the job journaled, shared as
+// it is. A job still journaling its admission is left out: its own
+// append follows any compaction this export feeds.
 func (r *Registry) exportRecords(filter map[string]bool) []journal.Record {
 	var out []journal.Record
-	emit := func(typ journal.Type, id string, fence uint64, payload any) {
-		if data, err := json.Marshal(payload); err == nil {
-			out = append(out, journal.Record{Type: typ, JobID: id, Fence: fence, Data: data})
-		}
-	}
 	for _, id := range r.snapshotOrder() {
 		if filter != nil && !filter[id] {
 			continue
@@ -184,18 +187,24 @@ func (r *Registry) exportRecords(filter map[string]bool) []journal.Record {
 			continue
 		}
 		m.mu.Lock()
-		final, running, cp := m.final, m.running, m.cp
+		sub, done, running, cpRec := m.sub, m.done, m.running, m.cpRec
 		m.mu.Unlock()
-		emit(journal.TypeSubmitted, id, m.fence, submittedRec{ID: id, Created: m.created, Spec: m.spec})
-		if final != nil {
-			emit(journal.TypeCompleted, id, m.fence, completedRec{ID: id, Info: *final})
+		if sub == nil {
+			continue
+		}
+		emit := func(typ journal.Type, data []byte) {
+			out = append(out, journal.Record{Type: typ, JobID: id, Fence: m.fence, Data: data})
+		}
+		emit(journal.TypeSubmitted, sub)
+		if done != nil {
+			emit(journal.TypeCompleted, done.rec)
 			continue
 		}
 		if running {
-			emit(journal.TypeState, id, m.fence, stateRec{ID: id, State: autopipe.JobRunning})
+			emit(journal.TypeState, runningRec(id))
 		}
-		if cp != nil {
-			emit(journal.TypeCheckpoint, id, m.fence, checkpointRec{ID: id, Checkpoint: *cp})
+		if cpRec != nil {
+			emit(journal.TypeCheckpoint, cpRec)
 		}
 	}
 	return out

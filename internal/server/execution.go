@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -85,7 +86,7 @@ func (r *Registry) run(m *managedJob, refuse bool) {
 	if stop {
 		j.Cancel()
 	} else {
-		r.journalAppend(journal.TypeState, m.id, m.fence, stateRec{ID: m.id, State: autopipe.JobRunning})
+		r.journalAppend(journal.TypeState, m.id, m.fence, runningRec(m.id))
 	}
 
 	// A job popped while the node sits in a minority partition starts
@@ -135,11 +136,17 @@ func (r *Registry) newJob(m *managedJob, resumed bool, from *autopipe.Checkpoint
 		cfg.CheckpointEvery = r.opts.CheckpointEvery
 		cfg.OnCheckpoint = func(cp autopipe.Checkpoint) {
 			r.count(&r.counters.Checkpoints, 1)
+			data, err := json.Marshal(checkpointRec{ID: m.id, Checkpoint: cp})
+			if err != nil {
+				// Keep the last checkpoint that could be journaled.
+				r.count(&r.counters.JournalErrors, 1)
+				return
+			}
 			m.mu.Lock()
-			m.cp = &cp
+			m.cp, m.cpRec = &cp, data
 			r.syncLiveLocked(m)
 			m.mu.Unlock()
-			r.journalAppend(journal.TypeCheckpoint, m.id, m.fence, checkpointRec{ID: m.id, Checkpoint: cp})
+			r.journalAppend(journal.TypeCheckpoint, m.id, m.fence, data)
 			r.compact(false)
 		}
 	}
@@ -157,19 +164,23 @@ func (r *Registry) newJob(m *managedJob, resumed bool, from *autopipe.Checkpoint
 // finish freezes a job's final view and journals its completion. A set
 // state (with its reason) overrides the outcome the job reached. The
 // Job, its simulator and its checkpoint are dropped: a finished job is
-// its JobInfo, as a journal-restored one is.
+// its frozen bytes, as a journal-restored one is.
 func (r *Registry) finish(m *managedJob, state autopipe.JobState, reason string) {
 	m.mu.Lock()
-	info := r.infoLocked(m)
+	info := r.liveInfoLocked(m)
 	if state != "" {
 		info.Status.State = state
 		info.Status.Error = reason
 	}
-	m.final = &info
-	m.job, m.cp = nil, nil
+	f, ok := freeze(m.id, info)
+	m.done = f
+	m.job, m.cp, m.cpRec = nil, nil, nil
 	r.syncLiveLocked(m)
 	m.mu.Unlock()
-	r.journalAppend(journal.TypeCompleted, m.id, m.fence, completedRec{ID: m.id, Info: info})
+	if !ok {
+		r.count(&r.counters.JournalErrors, 1)
+	}
+	r.journalAppend(journal.TypeCompleted, m.id, m.fence, f.rec)
 }
 
 // Depth returns the number of jobs waiting for a pool slot.

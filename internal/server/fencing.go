@@ -78,7 +78,9 @@ func (r *Registry) Fence(id string) (uint64, bool) {
 // preserved over any competing copy regardless of epoch. A cancelled or
 // failed copy is fenced like a live one.
 func (r *Registry) jobDone(m *managedJob) bool {
-	return r.info(m).Status.State == autopipe.JobDone
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.stateLocked() == autopipe.JobDone
 }
 
 // tombstone reports the fence epoch a job was abandoned at, if any.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"autopipe"
 	"autopipe/internal/journal"
@@ -103,9 +104,14 @@ func TestSubmitWithIDAndNodeStamp(t *testing.T) {
 // path — and a second Adopt of the same stream is a no-op.
 func TestAdoptMergesIntoLiveRegistry(t *testing.T) {
 	var recorded []journal.Record
+	// The source job parks in its first checkpoint, after journaling
+	// it, until the stream is exported: a 40-batch job can otherwise
+	// finish between two polls for that checkpoint.
+	park, parked, release := parkFirst()
 	src := NewRegistryWithOptions(Options{
 		PoolSize: 1, CheckpointEvery: 2, NodeID: "src",
-		OnRecord: func(rec journal.Record) { recorded = append(recorded, rec) },
+		OnRecord:     func(rec journal.Record) { recorded = append(recorded, rec) },
+		ConfigureJob: park,
 	})
 	spec := smallSpec()
 	spec.Batches = 40
@@ -113,13 +119,18 @@ func TestAdoptMergesIntoLiveRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "a checkpoint on the source job", func() bool {
-		m, err := src.Get(info.ID)
-		return err == nil && m.Status.State == autopipe.JobRunning && m.Status.Iteration >= 2
-	})
+	select {
+	case <-parked:
+	case <-time.After(30 * time.Second):
+		t.Fatal("timed out waiting for a checkpoint on the source job")
+	}
+	if m, err := src.Get(info.ID); err != nil || m.Status.State != autopipe.JobRunning || m.Status.Iteration < 2 {
+		t.Fatalf("source job at its first checkpoint = %+v, %v; want running at iteration >= 2", m.Status, err)
+	}
 	// Export the live stream (spec + state + checkpoint) and "kill" the
 	// source without any completion record reaching the stream.
 	recs := src.ExportRecords(info.ID)
+	release()
 	drain(t, src)
 
 	dst := NewRegistryWithOptions(Options{PoolSize: 2, NodeID: "dst"})

@@ -46,7 +46,7 @@ func (f *family) write(w io.Writer) {
 
 // WriteMetrics renders the registry's state in Prometheus text format.
 func WriteMetrics(w io.Writer, r *Registry) {
-	infos := r.List()
+	jobs := r.summaries()
 
 	depth := &family{name: "autopiped_registry_depth", typ: "gauge",
 		help: "Jobs waiting for a worker-pool slot."}
@@ -126,26 +126,26 @@ func WriteMetrics(w io.Writer, r *Registry) {
 	pool.add("", float64(r.PoolSize()))
 	queued := 0
 	counts := map[autopipe.JobState]int{}
-	for _, info := range infos {
-		st := info.Status
-		counts[st.State]++
-		if st.State == autopipe.JobQueued {
+	for _, job := range jobs {
+		id, ctl := job.id, &job.ctl
+		counts[job.state]++
+		if job.state == autopipe.JobQueued {
 			queued++
 		}
-		iter.add(info.ID, float64(st.Iteration))
-		tp.add(info.ID, st.Throughput)
-		switches.add(info.ID, float64(st.Controller.SwitchesApplied))
-		predCost.add(info.ID, st.Controller.SwitchSecondsPredicted)
-		realCost.add(info.ID, st.Controller.SwitchSecondsRealized)
-		decisions.add(info.ID, float64(st.Controller.Decisions))
-		candidates.add(info.ID, float64(st.Controller.CandidatesScored))
-		cacheHits.add(info.ID, float64(st.Controller.SearchCacheHits))
-		cacheHitRate.add(info.ID, st.Controller.SearchCacheHitRate)
-		searchSecs.add(info.ID, st.Controller.SearchSeconds)
-		evictions.add(info.ID, float64(st.Controller.Evictions))
-		aborted.add(info.ID, float64(st.Controller.AbortedSwitches))
-		migRetries.add(info.ID, float64(st.Controller.MigrationRetries))
-		queuedEv.add(info.ID, float64(st.Controller.QueuedEvictions))
+		iter.add(id, float64(job.iteration))
+		tp.add(id, job.throughput)
+		switches.add(id, float64(ctl.SwitchesApplied))
+		predCost.add(id, ctl.SwitchSecondsPredicted)
+		realCost.add(id, ctl.SwitchSecondsRealized)
+		decisions.add(id, float64(ctl.Decisions))
+		candidates.add(id, float64(ctl.CandidatesScored))
+		cacheHits.add(id, float64(ctl.SearchCacheHits))
+		cacheHitRate.add(id, ctl.SearchCacheHitRate)
+		searchSecs.add(id, ctl.SearchSeconds)
+		evictions.add(id, float64(ctl.Evictions))
+		aborted.add(id, float64(ctl.AbortedSwitches))
+		migRetries.add(id, float64(ctl.MigrationRetries))
+		queuedEv.add(id, float64(ctl.QueuedEvictions))
 	}
 	depth.add("", float64(queued))
 	allStates := []autopipe.JobState{autopipe.JobQueued, autopipe.JobRunning,

@@ -17,11 +17,14 @@ type RecoveryStats struct {
 	Skipped   int // undecodable, orphaned or fence-rejected journal entries
 }
 
-// replayJob is one job's state accumulated from a record stream.
+// replayJob is one job's state accumulated from a record stream, with
+// the payloads the rebuilt job keeps.
 type replayJob struct {
 	sub     *submittedRec
+	subRec  []byte
 	running bool
 	cp      *autopipe.Checkpoint
+	cpRec   []byte
 	final   *JobInfo
 	fence   uint64 // highest fence seen across the job's records
 }
@@ -53,7 +56,8 @@ func parseReplay(recs []journal.Record) (map[string]*replayJob, []string, int) {
 				skipped++
 				continue
 			}
-			get(sub.ID, rec.Fence).sub = &sub
+			p := get(sub.ID, rec.Fence)
+			p.sub, p.subRec = &sub, rec.Data
 		case journal.TypeState:
 			var st stateRec
 			if json.Unmarshal(rec.Data, &st) != nil || st.ID == "" {
@@ -67,7 +71,8 @@ func parseReplay(recs []journal.Record) (map[string]*replayJob, []string, int) {
 				skipped++
 				continue
 			}
-			get(cp.ID, rec.Fence).cp = &cp.Checkpoint
+			p := get(cp.ID, rec.Fence)
+			p.cp, p.cpRec = &cp.Checkpoint, rec.Data
 		case journal.TypeCompleted:
 			var done completedRec
 			if json.Unmarshal(rec.Data, &done) != nil || done.ID == "" {
@@ -84,15 +89,16 @@ func parseReplay(recs []journal.Record) (map[string]*replayJob, []string, int) {
 }
 
 // replayed turns one job's replay state into a managedJob at the given
-// fence epoch, updating stats. A finished job comes back frozen; a
-// live one comes back queued with its replay state, for the worker
-// that pops it to build. It returns nil (after counting the skip) for a
-// spec that no longer validates. A checkpoint the resume would refuse
-// is dropped here, so the job counts as, and is, restarted.
-func replayed(id string, p *replayJob, fence uint64, stats *RecoveryStats) *managedJob {
-	m := &managedJob{id: id, created: p.sub.Created, spec: p.sub.Spec, fence: fence}
+// fence epoch, updating stats. It keeps the replayed payloads. A
+// finished job comes back frozen; a live one comes back queued with its
+// replay state, for the worker that pops it to build. It returns nil
+// (after counting the skip) for a spec that no longer validates. A
+// checkpoint the resume would refuse is dropped here, so the job counts
+// as, and is, restarted.
+func (r *Registry) replayed(id string, p *replayJob, fence uint64, stats *RecoveryStats) *managedJob {
+	m := &managedJob{id: id, created: p.sub.Created, spec: p.sub.Spec, fence: fence, sub: p.subRec}
 	if p.final != nil {
-		m.final = p.final
+		m.done = r.restore(id, *p.final, fence)
 		stats.Completed++
 		return m
 	}
@@ -105,7 +111,7 @@ func replayed(id string, p *replayJob, fence uint64, stats *RecoveryStats) *mana
 		stats.Requeued++
 	case p.cp != nil && p.cp.Iterations < batches &&
 		p.cp.Validate(cfg.Model.NumLayers(), cfg.Cluster.NumGPUs()) == nil:
-		m.running, m.cp = true, p.cp
+		m.running, m.cp, m.cpRec = true, p.cp, p.cpRec
 		stats.Resumed++
 	default:
 		m.running = true
@@ -156,7 +162,7 @@ func (r *Registry) Recover(recs []journal.Record) (RecoveryStats, error) {
 		if fence == 0 {
 			fence = 1 // pre-fence journals: treat as first-epoch owners
 		}
-		m := replayed(id, p, fence, &stats)
+		m := r.replayed(id, p, fence, &stats)
 		if m == nil {
 			continue
 		}
@@ -236,7 +242,7 @@ func (r *Registry) Adopt(recs []journal.Record) (RecoveryStats, error) {
 			continue
 		}
 		newFence := incoming + 1
-		m := replayed(id, p, newFence, &stats)
+		m := r.replayed(id, p, newFence, &stats)
 		if m == nil {
 			continue
 		}
@@ -259,6 +265,7 @@ func (r *Registry) Adopt(recs []journal.Record) (RecoveryStats, error) {
 // register refuses once the registry is closed, when the workers may
 // already have drained the queue and exited.
 func (r *Registry) register(m *managedJob, rejournal bool) error {
+	live := m.done == nil // read before other goroutines can see m
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -272,12 +279,12 @@ func (r *Registry) register(m *managedJob, rejournal bool) error {
 	r.mu.Unlock()
 	if rejournal {
 		for _, rec := range r.exportRecords(map[string]bool{m.id: true}) {
-			r.journalAppend(rec.Type, rec.JobID, rec.Fence, json.RawMessage(rec.Data))
+			r.journalAppend(rec.Type, rec.JobID, rec.Fence, rec.Data)
 		}
 	}
 	r.mu.Lock()
 	r.settleLocked()
-	if m.final == nil {
+	if live {
 		r.enqueueLocked(m)
 	}
 	r.mu.Unlock()

@@ -224,8 +224,8 @@ type Registry struct {
 
 // managedJob is one hosted job. It is in one of three phases, each
 // held in one place: queued (the spec plus its replay state, no Job),
-// running (job, built by the worker that popped it) and finished (the
-// frozen final view; the Job is dropped).
+// running (job, built by the worker that popped it) and finished (its
+// frozen bytes; the Job is dropped).
 type managedJob struct {
 	// Immutable after registration.
 	id      string
@@ -235,15 +235,21 @@ type managedJob struct {
 
 	// mu guards everything below. Nothing but the Job's own lock is
 	// acquired while holding it.
-	mu    sync.Mutex
-	job   *autopipe.Job // non-nil only while the job runs
-	final *JobInfo      // frozen view once the job has finished
-	// running and cp are the job's durable replay state: whether its
-	// running record was journaled (by this registry or before a
-	// recovery or adoption) and its latest journaled checkpoint. The
-	// worker resumes from cp; exportRecords emits both.
+	mu sync.Mutex
+	// sub is the submitted record's payload, encoded once: set by
+	// admission before it journals the record (nil until then), or kept
+	// from the replayed record. It is never modified.
+	sub  []byte
+	job  *autopipe.Job // non-nil only while the job runs
+	done *frozen       // the finished job, once it has finished
+	// running, cp and cpRec are the job's durable replay state: whether
+	// its running record was journaled (by this registry or before a
+	// recovery or adoption), and its latest journaled checkpoint with
+	// that record's payload. The worker resumes from cp; exportRecords
+	// emits the running record and cpRec.
 	running bool
 	cp      *autopipe.Checkpoint
+	cpRec   []byte
 	// stop records a Cancel, FenceOut or Kill that reached the job
 	// before its worker installed a Job. The worker skips the build, or
 	// cancels the Job it has just built before Run.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -92,25 +93,42 @@ func WriteSubmitError(w http.ResponseWriter, reg *Registry, err error) {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, req *http.Request) {
-	WriteJSON(w, http.StatusOK, map[string]any{"jobs": s.reg.List()})
+	views, err := s.reg.ListViews()
+	if err != nil {
+		WriteError(w, http.StatusInternalServerError, err)
+		return
+	}
+	WriteJSON(w, http.StatusOK, map[string]any{"jobs": views})
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, req *http.Request) {
-	info, err := s.reg.Get(req.PathValue("id"))
-	if err != nil {
-		WriteError(w, http.StatusNotFound, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, info)
+	view, err := s.reg.View(req.PathValue("id"))
+	WriteView(w, view, err)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, req *http.Request) {
-	info, err := s.reg.Cancel(req.PathValue("id"))
-	if err != nil {
+	view, err := s.reg.CancelView(req.PathValue("id"))
+	WriteView(w, view, err)
+}
+
+// WriteView answers with a job view from Registry.View or CancelView:
+// 404 for an unknown job, 500 for a view that could not be encoded, and
+// otherwise 200 with the view and a newline, the body WriteJSON writes
+// for the decoded view.
+func WriteView(w http.ResponseWriter, view []byte, err error) {
+	switch {
+	case errors.Is(err, ErrNotFound):
 		WriteError(w, http.StatusNotFound, err)
-		return
+	case err != nil:
+		WriteError(w, http.StatusInternalServerError, err)
+	default:
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(view)+1))
+		// Nothing useful to do with a failed write.
+		if _, err := w.Write(view); err == nil {
+			io.WriteString(w, "\n")
+		}
 	}
-	WriteJSON(w, http.StatusOK, info)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
@@ -123,7 +141,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	body := map[string]any{
 		"status":      "ok",
 		"uptime_sec":  time.Since(s.started).Seconds(),
-		"jobs":        len(s.reg.List()),
+		"jobs":        s.reg.jobCount(),
 		"queue_depth": s.reg.Depth(),
 		"queue_limit": s.reg.MaxQueue(),
 		"jobs_shed":   c.Shed,
@@ -139,13 +157,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	WriteJSON(w, http.StatusOK, body)
 }
 
-// WriteJSON answers with v as indented JSON and the given status code.
+// WriteJSON answers with v as compact JSON, ended by a newline, and the
+// given status code.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) // nothing useful to do with a failed write
+	json.NewEncoder(w).Encode(v) // nothing useful to do with a failed write
 }
 
 // WriteError answers with {"error": err} and the given status code.

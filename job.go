@@ -213,10 +213,9 @@ type JobResult struct {
 	// SpeedPerIteration is the smoothed per-iteration samples/sec.
 	SpeedPerIteration []float64 `json:"speed_per_iteration,omitempty"`
 	// Decisions holds the recorded reconfiguration decisions (most
-	// recent first-capped window, see internal/autopipe maxLogEntries).
+	// recent first-capped window, see internal/autopipe maxLogEntries);
+	// DecisionRecord.String renders one as a line.
 	Decisions []DecisionRecord `json:"decisions,omitempty"`
-	// DecisionLog holds one rendered line per reconfiguration decision.
-	DecisionLog []string `json:"decision_log,omitempty"`
 }
 
 // RunJob trains a managed job for the given number of mini-batches,
@@ -659,9 +658,6 @@ func (j *Job) run(ctx context.Context) (JobResult, JobState, error) {
 		Controller: j.ctl.Stats(),
 		FinalPlan:  j.ctl.Plan(),
 		Decisions:  j.ctl.DecisionLog(),
-	}
-	for _, d := range out.Decisions {
-		out.DecisionLog = append(out.DecisionLog, d.String())
 	}
 	cs := e.Completions()
 	if len(cs) > 0 {
