@@ -258,6 +258,9 @@ func openJournal(dir string) (*journal.Journal, []journal.Record, error) {
 // jobs arrive, registry drain second. Factored out of main so the
 // daemon lifecycle is testable.
 func run(ctx context.Context, lis net.Listener, cfg daemonConfig, logger *log.Logger) error {
+	if cfg.checkpointEvery <= 0 {
+		cfg.checkpointEvery = -1 // the flag's 0 disables; the registry reads 0 as its default
+	}
 	opts := server.Options{
 		PoolSize:        cfg.pool,
 		MaxQueue:        cfg.maxQueue,

@@ -17,7 +17,9 @@ import (
 	"syscall"
 	"testing"
 
+	"autopipe/internal/journal"
 	"autopipe/internal/netfault"
+	"autopipe/internal/server"
 	"time"
 )
 
@@ -255,7 +257,8 @@ func TestDaemonLifecycle(t *testing.T) {
 	go func() {
 		cfg := daemonConfig{
 			pool: 2, drainTimeout: 5 * time.Second,
-			journalDir: filepath.Join(t.TempDir(), "journal"),
+			journalDir:      filepath.Join(t.TempDir(), "journal"),
+			checkpointEvery: server.DefaultCheckpointEvery,
 		}
 		runErr <- run(ctx, lis, cfg, log.New(io.Discard, "", 0))
 	}()
@@ -337,6 +340,62 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 }
 
+// TestCheckpointEveryZeroDisables: -checkpoint-every 0 disables
+// checkpoints, as the flag's help says, rather than falling back to the
+// registry's default cadence. A journaled 60-batch job would checkpoint
+// twice at that default; here it leaves no checkpoint record and the
+// counter stays at 0.
+func TestCheckpointEveryZeroDisables(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := "http://" + lis.Addr().String()
+	dir := filepath.Join(t.TempDir(), "journal")
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, lis, daemonConfig{
+			pool: 1, drainTimeout: 5 * time.Second, journalDir: dir, checkpointEvery: 0,
+		}, log.New(io.Discard, "", 0))
+	}()
+	waitHealthy(t, base)
+	id := postJob(t, base, `{"model":"uniform","uniform":{"layers":8},"batches":60}`)
+	waitJobState(t, base, id, "done")
+
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(metrics), "\nautopiped_checkpoints_total 0\n") {
+		t.Errorf("metrics do not read autopiped_checkpoints_total 0:\n%s", metrics)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("daemon run returned %v", err)
+	}
+
+	jl, recs, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl.Close()
+	completed := false
+	for _, rec := range recs {
+		switch rec.Type {
+		case journal.TypeCheckpoint:
+			t.Fatalf("journal holds a checkpoint record for %s with checkpoints disabled", rec.JobID)
+		case journal.TypeCompleted:
+			completed = true
+		}
+	}
+	if !completed {
+		t.Fatal("journal holds no completed record: the job was not journaled")
+	}
+}
+
 // TestDaemonClusterMode boots two real daemon loops in fleet mode, has
 // the second join via the first, submits through one gateway, and
 // checks the cluster surface: ring membership in /v1/cluster, the job
@@ -358,7 +417,8 @@ func TestDaemonClusterMode(t *testing.T) {
 		go func() {
 			cfg := daemonConfig{
 				pool: 2, drainTimeout: 5 * time.Second, maxQueue: 64,
-				nodeID: nodeID, advertise: d.base, peers: peers,
+				checkpointEvery: server.DefaultCheckpointEvery,
+				nodeID:          nodeID, advertise: d.base, peers: peers,
 				heartbeatEvery: 20 * time.Millisecond,
 			}
 			d.done <- run(ctx, lis, cfg, log.New(io.Discard, "", 0))

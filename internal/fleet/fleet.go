@@ -26,8 +26,8 @@ import (
 // a node that was merely slow would run them twice.
 const (
 	DefaultHeartbeatEvery = time.Second
-	defaultSuspectFactor  = 3
-	defaultDeadFactor     = 10
+	suspectFactor         = 3
+	deadFactor            = 10
 	// resyncTicks is how many heartbeat rounds pass between full
 	// replica resyncs (repairing records dropped by backpressure and
 	// re-homing replicas after membership changes).
@@ -48,18 +48,10 @@ type Config struct {
 	// Peers seeds membership with other nodes' advertise URLs; the full
 	// member list is learned from join responses and heartbeat gossip.
 	Peers []string
-	// HeartbeatEvery is the failure-detector period (default 1s).
+	// HeartbeatEvery is the failure-detector period (default 1s). A
+	// peer silent for 3 periods is suspect; one silent for 10 is dead —
+	// removed from the ring, its replicated jobs adopted.
 	HeartbeatEvery time.Duration
-	// SuspectAfter marks a peer suspect after this much silence
-	// (default 3 × HeartbeatEvery).
-	SuspectAfter time.Duration
-	// DeadAfter declares a peer dead — removing it from the ring and
-	// adopting its replicated jobs — after this much silence (default
-	// 10 × HeartbeatEvery).
-	DeadAfter time.Duration
-	// VNodes is the virtual-node count per member (default
-	// DefaultVNodes).
-	VNodes int
 	// Client performs peer HTTP calls (default: 5s timeout).
 	Client *http.Client
 	// Fault, when non-nil, interposes a deterministic network-fault
@@ -129,21 +121,12 @@ func New(cfg Config, sopts server.Options) (*Node, error) {
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = DefaultHeartbeatEvery
 	}
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = defaultSuspectFactor * cfg.HeartbeatEvery
-	}
-	if cfg.DeadAfter <= 0 {
-		cfg.DeadAfter = defaultDeadFactor * cfg.HeartbeatEvery
-	}
-	if cfg.DeadAfter < cfg.SuspectAfter {
-		return nil, fmt.Errorf("fleet: DeadAfter %s below SuspectAfter %s", cfg.DeadAfter, cfg.SuspectAfter)
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
 	n := &Node{
 		cfg:       cfg,
-		ring:      NewRing(cfg.VNodes),
+		ring:      NewRing(DefaultVNodes),
 		members:   newMembership(time.Now),
 		store:     newReplicaStore(),
 		client:    cfg.Client,
@@ -260,8 +243,12 @@ func (n *Node) Shutdown(ctx context.Context) error {
 				n.handoffSent.Add(1)
 				continue
 			}
-			// No reachable peer for it: run it locally during the drain
-			// rather than losing the acknowledged submission.
+			// No reachable peer for it: put it back in the local queue so
+			// the acknowledged submission is not lost. It does not run:
+			// the registry's Shutdown below closes the queue first, so the
+			// worker that pops it refuses it, and it finishes cancelled
+			// with ErrClosed. ROADMAP's "hand a queued resume off with its
+			// checkpoint" item replaces this fallback.
 			if _, err := n.reg.SubmitWithID(q.ID, q.Spec); err != nil {
 				n.cfg.Logf("fleet %s: drain could not re-queue %s: %v", n.cfg.ID, q.ID, err)
 			}
@@ -772,7 +759,7 @@ func (n *Node) heartbeatRound() {
 				heartbeatRequest{ID: n.cfg.ID, Addr: n.cfg.Advertise, Members: n.members.live(n.self())}, &resp)
 			if err != nil {
 				n.heartbeatsBad.Add(1)
-				if _, died := n.members.fail(t.ID, n.cfg.SuspectAfter, n.cfg.DeadAfter); died {
+				if _, died := n.members.fail(t.ID, suspectFactor*n.cfg.HeartbeatEvery, deadFactor*n.cfg.HeartbeatEvery); died {
 					n.cfg.Logf("fleet %s: declaring %s dead", n.cfg.ID, t.ID)
 					n.adoptFrom(t.ID)
 				}

@@ -33,8 +33,6 @@ func startNode(t *testing.T, id string, seeds []string, hb time.Duration, sopts 
 		Advertise:      "http://" + srv.Listener.Addr().String(),
 		Peers:          seeds,
 		HeartbeatEvery: hb,
-		SuspectAfter:   3 * hb,
-		DeadAfter:      8 * hb,
 		Logf:           t.Logf,
 	}
 	n, err := New(cfg, sopts)

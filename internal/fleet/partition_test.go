@@ -28,8 +28,6 @@ func startFaultNode(t *testing.T, id string, seeds []string, hb time.Duration, s
 		Advertise:      "http://" + srv.Listener.Addr().String(),
 		Peers:          seeds,
 		HeartbeatEvery: hb,
-		SuspectAfter:   3 * hb,
-		DeadAfter:      8 * hb,
 		Client:         &http.Client{Timeout: 500 * time.Millisecond},
 		Fault:          inj,
 		Logf:           t.Logf,
@@ -319,9 +317,9 @@ func TestFleetAsymmetricPartitionNoFailover(t *testing.T) {
 		ids = append(ids, info.ID)
 	}
 
-	// One-way drop, held for well past DeadAfter (8 hb = 200ms).
+	// One-way drop, held for twice the dead threshold (10 hb = 250ms).
 	inj.SetRules(netfault.Rule{Src: "n1", Dst: "n2", Block: netfault.BlockDrop})
-	time.Sleep(16 * hb)
+	time.Sleep(20 * hb)
 	inj.Clear()
 
 	waitFor(t, "all jobs to finish", func() bool {

@@ -489,44 +489,12 @@ func (j *Journal) Records() int64 {
 	return j.records
 }
 
-// Stream re-reads the live segments from disk and invokes fn for every
-// intact record in write order, stopping early if fn returns an error.
-// It is the journal's export surface: replication and tooling can
-// stream a point-in-time snapshot without holding up appends (a frame
-// being torn by a concurrent Append simply ends that segment's replay,
-// exactly as crash recovery would). fn must not call back into the
-// Journal.
-func (j *Journal) Stream(fn func(Record) error) error {
-	j.mu.Lock()
-	segs := append([]int(nil), j.segments...)
-	j.mu.Unlock()
-	for _, seq := range segs {
-		data, err := os.ReadFile(filepath.Join(j.dir, segName(seq)))
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue // compacted away mid-stream
-			}
-			return fmt.Errorf("journal: stream: %w", err)
-		}
-		recs, _ := decodeAll(data)
-		for _, rec := range recs {
-			if err := fn(rec); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // Stats returns a snapshot of the journal's activity counters.
 func (j *Journal) Stats() Stats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.stats
 }
-
-// Dir returns the journal directory.
-func (j *Journal) Dir() string { return j.dir }
 
 // Close fsyncs and closes the active segment. The journal is unusable
 // afterwards; Appends still waiting for the commit lock fail with the

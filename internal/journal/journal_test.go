@@ -106,27 +106,22 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecordsAndStream: the live-record counter tracks appends,
-// replays and compactions, and Stream re-reads exactly the live
-// records from disk in write order.
-func TestRecordsAndStream(t *testing.T) {
+// TestRecordsCounter: the live-record counter tracks appends, replays
+// and compactions, and a reopen replays exactly the live records in
+// write order.
+func TestRecordsCounter(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := mustOpen(t, dir, Options{NoSync: true})
 	appendN(t, j, 10)
 	if n := j.Records(); n != 10 {
 		t.Fatalf("Records() = %d after 10 appends, want 10", n)
 	}
-	var streamed []Record
-	if err := j.Stream(func(r Record) error {
-		streamed = append(streamed, r)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	checkRecs(t, streamed, 10)
+	j.Close()
+	j, recs := mustOpen(t, dir, Options{NoSync: true})
+	checkRecs(t, recs, 10)
 
-	// Compact down to 3 live records: counter resets, Stream sees only
-	// the compacted state.
+	// Compact down to 3 live records: the counter resets, and a reopen
+	// replays only the compacted state plus later appends.
 	live := []Record{rec(0), rec(1), rec(2)}
 	if err := j.Compact(live); err != nil {
 		t.Fatal(err)
@@ -138,28 +133,18 @@ func TestRecordsAndStream(t *testing.T) {
 	if n := j.Records(); n != 5 {
 		t.Fatalf("Records() = %d after 2 more appends, want 5", n)
 	}
-	streamed = nil
-	if err := j.Stream(func(r Record) error {
-		streamed = append(streamed, r)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(streamed) != 5 {
-		t.Fatalf("Stream saw %d records, want 5", len(streamed))
-	}
 	j.Close()
 
 	// A reopen replays into the counter too.
 	j2, recs := mustOpen(t, dir, Options{NoSync: true})
 	defer j2.Close()
 	if n := j2.Records(); n != int64(len(recs)) || n != 5 {
-		t.Fatalf("Records() = %d after reopen, want %d", n, len(recs))
+		t.Fatalf("Records() = %d after reopen of %d records, want 5", n, len(recs))
 	}
-	// Stream propagates the callback's error.
-	wantErr := fmt.Errorf("stop")
-	if err := j2.Stream(func(Record) error { return wantErr }); err != wantErr {
-		t.Fatalf("Stream error = %v, want %v", err, wantErr)
+	for i, want := range append(live, rec(0), rec(1)) {
+		if r := recs[i]; r.Type != want.Type || r.JobID != want.JobID || r.Fence != want.Fence || !bytes.Equal(r.Data, want.Data) {
+			t.Fatalf("replayed record %d = %+v, want %+v", i, r, want)
+		}
 	}
 }
 

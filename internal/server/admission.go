@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"slices"
 
 	"autopipe"
 	"autopipe/internal/journal"
@@ -61,15 +60,10 @@ func (r *Registry) SubmitWithID(id string, spec JobSpec) (JobInfo, error) {
 	// An id fenced away to another node still exists cluster-wide, so
 	// resubmitting it here is a duplicate too.
 	_, gone := r.tombstone(id)
-	sh := r.shard(id)
-	sh.mu.Lock()
-	if _, ok := sh.jobs[id]; ok || gone {
-		sh.mu.Unlock()
+	if _, ok := r.jobs[id]; ok || gone {
 		r.mu.Unlock()
 		return JobInfo{}, fmt.Errorf("%w: %s", ErrDuplicateID, id)
 	}
-	sh.jobs[id] = m
-	sh.mu.Unlock()
 	r.addLocked(m)
 	r.mu.Unlock()
 
@@ -89,11 +83,7 @@ func (r *Registry) SubmitWithID(id string, spec JobSpec) (JobInfo, error) {
 	r.mu.Lock()
 	r.settleLocked()
 	if err != nil {
-		sh.mu.Lock()
-		delete(sh.jobs, id)
-		sh.mu.Unlock()
-		r.dropLive(m)
-		r.order = slices.DeleteFunc(r.order, func(oid string) bool { return oid == id })
+		r.unlistLocked(m)
 		r.mu.Unlock()
 		return JobInfo{}, fmt.Errorf("%w: %v", ErrNotDurable, err)
 	}
@@ -103,12 +93,12 @@ func (r *Registry) SubmitWithID(id string, spec JobSpec) (JobInfo, error) {
 	return r.info(m), nil
 }
 
-// addLocked lists a job that was just put in its shard, counts its live
-// records and reserves a queue slot for it until settleLocked: draining
-// workers and DetachQueued wait for every reservation. Caller holds
-// r.mu.
+// addLocked puts a job in the job table, counts its live records and
+// reserves a queue slot for it until settleLocked: draining workers and
+// DetachQueued wait for every reservation. Caller holds r.mu.
 func (r *Registry) addLocked(m *managedJob) {
-	r.order = append(r.order, m.id)
+	r.jobs[m.id] = m
+	r.order = append(r.order, m)
 	m.mu.Lock()
 	r.syncLiveLocked(m)
 	m.mu.Unlock()
@@ -160,27 +150,11 @@ func (r *Registry) View(id string) ([]byte, error) {
 	return r.view(m)
 }
 
-// List returns every job in submission order.
-func (r *Registry) List() []JobInfo {
-	order := r.snapshotOrder()
-	out := make([]JobInfo, 0, len(order))
-	for _, id := range order {
-		if m, ok := r.lookup(id); ok {
-			out = append(out, r.info(m))
-		}
-	}
-	return out
-}
-
 // ListViews returns every job's View in submission order.
 func (r *Registry) ListViews() ([]json.RawMessage, error) {
-	order := r.snapshotOrder()
-	out := make([]json.RawMessage, 0, len(order))
-	for _, id := range order {
-		m, ok := r.lookup(id)
-		if !ok {
-			continue
-		}
+	jobs := r.snapshot()
+	out := make([]json.RawMessage, 0, len(jobs))
+	for _, m := range jobs {
 		view, err := r.view(m)
 		if err != nil {
 			return nil, err
@@ -190,18 +164,8 @@ func (r *Registry) ListViews() ([]json.RawMessage, error) {
 	return out, nil
 }
 
-// Cancel stops a queued or running job. Cancelling a finished job is a
-// no-op; unknown ids return ErrNotFound.
-func (r *Registry) Cancel(id string) (JobInfo, error) {
-	m, ok := r.lookup(id)
-	if !ok {
-		return JobInfo{}, ErrNotFound
-	}
-	m.halt(false)
-	return r.info(m), nil
-}
-
-// CancelView is Cancel answering with View's encoding.
+// CancelView stops a queued or running job and returns its View.
+// Cancelling a finished job is a no-op; unknown ids return ErrNotFound.
 func (r *Registry) CancelView(id string) ([]byte, error) {
 	m, ok := r.lookup(id)
 	if !ok {
@@ -285,13 +249,9 @@ func (m *managedJob) stateLocked() autopipe.JobState {
 // summaries returns every job's summary in submission order: a
 // finished job's is frozen with it, a live one's is read off its view.
 func (r *Registry) summaries() []jobSummary {
-	order := r.snapshotOrder()
-	out := make([]jobSummary, 0, len(order))
-	for _, id := range order {
-		m, ok := r.lookup(id)
-		if !ok {
-			continue
-		}
+	jobs := r.snapshot()
+	out := make([]jobSummary, 0, len(jobs))
+	for _, m := range jobs {
 		m.mu.Lock()
 		var sum summary
 		if m.done != nil {
@@ -301,7 +261,7 @@ func (r *Registry) summaries() []jobSummary {
 			sum = summarize(&info)
 		}
 		m.mu.Unlock()
-		out = append(out, jobSummary{id: id, summary: sum})
+		out = append(out, jobSummary{id: m.id, summary: sum})
 	}
 	return out
 }
@@ -316,7 +276,7 @@ type jobSummary struct {
 func (r *Registry) jobCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.order)
+	return len(r.jobs)
 }
 
 // StateCounts tallies jobs by lifecycle state.
@@ -325,7 +285,7 @@ func (r *Registry) StateCounts() map[autopipe.JobState]int {
 		autopipe.JobQueued: 0, autopipe.JobRunning: 0, autopipe.JobDone: 0,
 		autopipe.JobFailed: 0, autopipe.JobCancelled: 0,
 	}
-	for _, m := range r.allJobs() {
+	for _, m := range r.snapshot() {
 		m.mu.Lock()
 		counts[m.stateLocked()]++
 		m.mu.Unlock()

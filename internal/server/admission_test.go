@@ -157,7 +157,7 @@ func TestSubmitNotDurable(t *testing.T) {
 	if _, err := r.Get("job-lost"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get of the refused job = %v, want ErrNotFound", err)
 	}
-	if n, d := len(r.List()), r.Depth(); n != 0 || d != 0 {
+	if n, d := len(listInfos(t, r)), r.Depth(); n != 0 || d != 0 {
 		t.Fatalf("refused job left %d listed, depth %d", n, d)
 	}
 	c := r.Counters()
@@ -213,7 +213,7 @@ func TestAdmissionAccountingUnderBursts(t *testing.T) {
 			for {
 				select {
 				case id := <-ids:
-					if _, err := r.Cancel(id); err != nil {
+					if _, err := r.CancelView(id); err != nil {
 						t.Errorf("Cancel(%s): %v", id, err)
 					}
 				case <-cancelDone:
@@ -242,7 +242,7 @@ func TestAdmissionAccountingUnderBursts(t *testing.T) {
 
 	// Every admitted job must end in exactly one state, and the queue
 	// must fully drain once the blocker moves on.
-	if _, err := r.Cancel(blocker.ID); err != nil {
+	if _, err := r.CancelView(blocker.ID); err != nil {
 		t.Fatal(err)
 	}
 	release()
@@ -292,8 +292,8 @@ func TestNoShedBelowCapacity(t *testing.T) {
 	if _, err := r.Submit(hugeSpec()); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("submit beyond capacity = %v, want ErrQueueFull", err)
 	}
-	for _, info := range r.List() {
-		if _, err := r.Cancel(info.ID); err != nil {
+	for _, info := range listInfos(t, r) {
+		if _, err := r.CancelView(info.ID); err != nil {
 			t.Fatal(err)
 		}
 	}

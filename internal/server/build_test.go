@@ -59,7 +59,7 @@ func TestBuildOnlyJobsThatRun(t *testing.T) {
 	if _, err := r.Submit(layered(shed, 10)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("third submit = %v, want ErrQueueFull", err)
 	}
-	if _, err := r.Cancel(q1.ID); err != nil {
+	if _, err := r.CancelView(q1.ID); err != nil {
 		t.Fatal(err)
 	}
 	for _, layers := range []int{cancelled, runs, shed} {
@@ -141,10 +141,10 @@ func TestBuildNoneOnRecover(t *testing.T) {
 		t.Fatalf("Recover built re-queued jobs: %d and %d builds", a, b)
 	}
 	waitState(t, r, "job-0001", autopipe.JobRunning)
-	if _, err := r.Cancel("job-0003"); err != nil {
+	if _, err := r.CancelView("job-0003"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Cancel("job-0001"); err != nil {
+	if _, err := r.CancelView("job-0001"); err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, r, "job-0002", autopipe.JobDone)
@@ -210,7 +210,7 @@ func TestBuildRace(t *testing.T) {
 		// visible reports whether the job stays listed.
 		visible bool
 	}{
-		{"cancel", func(t *testing.T, r *Registry, id string) { r.Cancel(id) }, true},
+		{"cancel", func(t *testing.T, r *Registry, id string) { r.CancelView(id) }, true},
 		{"fence-out", func(t *testing.T, r *Registry, id string) {
 			if !r.FenceOut(id, 2) {
 				t.Error("FenceOut of a building job refused")

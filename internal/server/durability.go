@@ -92,7 +92,7 @@ func (r *Registry) compact(force bool) {
 	if !force && !r.wantsCompaction() {
 		return
 	}
-	if err := r.opts.Journal.Compact(r.exportRecords(nil)); err != nil {
+	if err := r.opts.Journal.Compact(r.exportRecords(r.snapshot())); err != nil {
 		r.count(&r.counters.JournalErrors, 1)
 	}
 }
@@ -152,40 +152,38 @@ func (r *Registry) dropLive(m *managedJob) {
 }
 
 // ExportRecords renders the live record stream for the given job IDs
-// (every job when none are given): the same compact form compaction
-// writes and Recover/Adopt replay. The fleet layer uses it to
+// in the order given (every job, in submission order, when none are
+// given): the same compact form compaction writes and Recover/Adopt
+// replay. Unknown ids are skipped. The fleet layer uses it to
 // full-sync a job's durable state to its ring successor. Every record
 // carries the job's current fence epoch, so receivers can refuse
 // stale-owner streams.
 func (r *Registry) ExportRecords(ids ...string) []journal.Record {
-	var filter map[string]bool
-	if len(ids) > 0 {
-		filter = make(map[string]bool, len(ids))
-		for _, id := range ids {
-			filter[id] = true
+	if len(ids) == 0 {
+		return r.exportRecords(r.snapshot())
+	}
+	jobs := make([]*managedJob, 0, len(ids))
+	r.mu.Lock()
+	for _, id := range ids {
+		if m, ok := r.jobs[id]; ok {
+			jobs = append(jobs, m)
 		}
 	}
-	return r.exportRecords(filter)
+	r.mu.Unlock()
+	return r.exportRecords(jobs)
 }
 
-// exportRecords renders the current state of the jobs in filter (every
-// job when nil) as a compact record stream: one submission per job,
+// exportRecords renders the current state of the given jobs as a
+// compact record stream: one submission per job,
 // plus its final result, or else the running state and latest
 // checkpoint it has — a queued job recovered or adopted mid-run keeps
 // them. Replaying it is equivalent to replaying the full history. Each
 // payload but a running record is the one the job journaled, shared as
 // it is. A job still journaling its admission is left out: its own
 // append follows any compaction this export feeds.
-func (r *Registry) exportRecords(filter map[string]bool) []journal.Record {
+func (r *Registry) exportRecords(jobs []*managedJob) []journal.Record {
 	var out []journal.Record
-	for _, id := range r.snapshotOrder() {
-		if filter != nil && !filter[id] {
-			continue
-		}
-		m, ok := r.lookup(id)
-		if !ok {
-			continue
-		}
+	for _, m := range jobs {
 		m.mu.Lock()
 		sub, done, running, cpRec := m.sub, m.done, m.running, m.cpRec
 		m.mu.Unlock()
@@ -193,7 +191,7 @@ func (r *Registry) exportRecords(filter map[string]bool) []journal.Record {
 			continue
 		}
 		emit := func(typ journal.Type, data []byte) {
-			out = append(out, journal.Record{Type: typ, JobID: id, Fence: m.fence, Data: data})
+			out = append(out, journal.Record{Type: typ, JobID: m.id, Fence: m.fence, Data: data})
 		}
 		emit(journal.TypeSubmitted, sub)
 		if done != nil {
@@ -201,7 +199,7 @@ func (r *Registry) exportRecords(filter map[string]bool) []journal.Record {
 			continue
 		}
 		if running {
-			emit(journal.TypeState, runningRec(id))
+			emit(journal.TypeState, runningRec(m.id))
 		}
 		if cpRec != nil {
 			emit(journal.TypeCheckpoint, cpRec)

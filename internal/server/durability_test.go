@@ -306,7 +306,7 @@ func TestRecoverCompletedJobsReadOnly(t *testing.T) {
 		got.Result.Batches != want.Result.Batches {
 		t.Fatalf("restored job = %+v, want the pre-crash result", got)
 	}
-	if _, err := r2.Cancel(info.ID); err != nil {
+	if _, err := r2.CancelView(info.ID); err != nil {
 		t.Fatalf("Cancel on restored finished job: %v", err)
 	}
 	if err := r2.Shutdown(context.Background()); err != nil {
@@ -587,7 +587,7 @@ func TestLiveRecordCountMatchesExport(t *testing.T) {
 				}
 			case op == 2: // cancel
 				id := ids[rng.Intn(len(ids))]
-				if _, err := r.Cancel(id); err != nil && !errors.Is(err, ErrNotFound) {
+				if _, err := r.CancelView(id); err != nil && !errors.Is(err, ErrNotFound) {
 					t.Fatal(err)
 				}
 				release(id)
@@ -604,7 +604,7 @@ func TestLiveRecordCountMatchesExport(t *testing.T) {
 				time.Sleep(time.Duration(rng.Intn(3)) * time.Millisecond)
 			}
 			waitFor(t, "live count to converge on the export", func() bool {
-				return r.live.Load() == int64(len(r.exportRecords(nil)))
+				return r.live.Load() == int64(len(r.ExportRecords()))
 			})
 		}
 		for id := range gates {
@@ -613,7 +613,7 @@ func TestLiveRecordCountMatchesExport(t *testing.T) {
 		if err := r.Shutdown(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if live, export := r.live.Load(), len(r.exportRecords(nil)); live != int64(export) {
+		if live, export := r.live.Load(), len(r.ExportRecords()); live != int64(export) {
 			t.Fatalf("seed %d: live count %d, exportRecords emits %d", seed, live, export)
 		}
 	}

@@ -243,7 +243,7 @@ func (r *Registry) markClosed() {
 
 // cancelAll cancels every hosted job.
 func (r *Registry) cancelAll() {
-	for _, m := range r.allJobs() {
+	for _, m := range r.snapshot() {
 		m.halt(false)
 	}
 }

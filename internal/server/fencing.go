@@ -19,7 +19,7 @@ func (r *Registry) SetMinority(v bool) {
 		return
 	}
 	if v {
-		for _, m := range r.allJobs() {
+		for _, m := range r.snapshot() {
 			if j := m.current(); j != nil {
 				j.Pause()
 			}
@@ -27,7 +27,7 @@ func (r *Registry) SetMinority(v bool) {
 		return
 	}
 	now := r.now()
-	for _, m := range r.allJobs() {
+	for _, m := range r.snapshot() {
 		j := m.current()
 		if j == nil || !j.Paused() {
 			continue
@@ -52,14 +52,10 @@ type JobFence struct {
 // HostedFences lists every hosted job's fence epoch in submission
 // order.
 func (r *Registry) HostedFences() []JobFence {
-	order := r.snapshotOrder()
-	out := make([]JobFence, 0, len(order))
-	for _, id := range order {
-		m, ok := r.lookup(id)
-		if !ok {
-			continue
-		}
-		out = append(out, JobFence{ID: id, Fence: m.fence})
+	jobs := r.snapshot()
+	out := make([]JobFence, 0, len(jobs))
+	for _, m := range jobs {
+		out = append(out, JobFence{ID: m.id, Fence: m.fence})
 	}
 	return out
 }
@@ -106,25 +102,18 @@ func (r *Registry) clearTombstone(id string) {
 // disk. Returns false when the job is unknown, already at or above the
 // epoch, or done (a finished result always wins).
 func (r *Registry) FenceOut(id string, fence uint64) bool {
-	sh := r.shard(id)
-	sh.mu.Lock()
-	m, ok := sh.jobs[id]
+	r.mu.Lock()
+	m, ok := r.jobs[id]
 	if !ok || m.fence >= fence || r.jobDone(m) {
-		sh.mu.Unlock()
+		r.mu.Unlock()
 		return false
 	}
-	delete(sh.jobs, id)
-	sh.mu.Unlock()
-	r.dropLive(m)
-
+	r.unlistLocked(m)
 	// Suppress journal/replication output before aborting the job so a
 	// completion record racing the cancellation cannot slip out.
 	r.fencedMu.Lock()
 	r.fenced[id] = fence
 	r.fencedMu.Unlock()
-
-	r.mu.Lock()
-	r.order = slices.DeleteFunc(r.order, func(oid string) bool { return oid == id })
 	r.queue = slices.DeleteFunc(r.queue, func(q *managedJob) bool { return q == m })
 	r.counters.FencedOut++
 	r.mu.Unlock()
@@ -155,17 +144,10 @@ func (r *Registry) DetachQueued() []QueuedJob {
 		r.work.Wait()
 	}
 	out := make([]QueuedJob, 0, len(r.queue))
-	drop := make(map[string]bool, len(r.queue))
 	for _, m := range r.queue {
-		sh := r.shard(m.id)
-		sh.mu.Lock()
-		delete(sh.jobs, m.id)
-		sh.mu.Unlock()
-		r.dropLive(m)
-		drop[m.id] = true
 		out = append(out, QueuedJob{ID: m.id, Spec: m.spec})
 	}
-	r.order = slices.DeleteFunc(r.order, func(id string) bool { return drop[id] })
+	r.unlistLocked(r.queue...)
 	r.queue = nil
 	return out
 }

@@ -190,8 +190,8 @@ func TestDetachQueued(t *testing.T) {
 	if _, err := r.Get(q1.ID); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("detached job still listed: %v", err)
 	}
-	if got := r.List(); len(got) != 1 || got[0].ID != running.ID {
-		t.Fatalf("List after detach = %+v", got)
+	if got := listInfos(t, r); len(got) != 1 || got[0].ID != running.ID {
+		t.Fatalf("ListViews after detach = %+v", got)
 	}
 	// The detached specs are resubmittable elsewhere under the same ID.
 	other := NewRegistryWithOptions(Options{PoolSize: 1, NodeID: "n2"})

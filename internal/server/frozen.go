@@ -14,7 +14,7 @@ import (
 // serves the journal and OnRecord, every GET, compaction, Adopt's
 // re-journal and fleet resync; none of them marshals the job again,
 // and nothing modifies the bytes after the freeze, so they are shared
-// without copying. The Go API (Get, List, Cancel) decodes them.
+// without copying. Get decodes them.
 
 // frozen is a finished job.
 type frozen struct {

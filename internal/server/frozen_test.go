@@ -99,10 +99,10 @@ func sameBytes(a, b []byte) bool {
 // completed payload is byte-equal to the payload struct's encoding,
 // json.Marshal(completedRec{ID, Info: Get(id)}); its GET and DELETE
 // bodies are json.Marshal(Get(id)) plus a newline, and the listing's
-// json.Marshal of List plus a newline; and the export
-// shares the very bytes the job journaled — its submission, its
-// checkpoint while it runs and its completion — instead of encoding
-// them again.
+// json.Marshal of every Get in submission order plus a newline; and
+// the export shares the very bytes the job journaled — its submission,
+// its checkpoint while it runs and its completion — instead of
+// encoding them again.
 func TestFinishedJobIsItsBytes(t *testing.T) {
 	for _, node := range []string{"", "n1"} {
 		t.Run("node="+node, func(t *testing.T) {
@@ -139,7 +139,7 @@ func TestFinishedJobIsItsBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 			waitState(t, r, cancelled.ID, autopipe.JobRunning)
-			if _, err := r.Cancel(cancelled.ID); err != nil {
+			if _, err := r.CancelView(cancelled.ID); err != nil {
 				t.Fatal(err)
 			}
 			waitState(t, r, cancelled.ID, autopipe.JobCancelled)
@@ -166,9 +166,14 @@ func TestFinishedJobIsItsBytes(t *testing.T) {
 					t.Fatalf("%s: the export does not share the journaled payloads", id)
 				}
 			}
-			want := mustMarshal(t, map[string]any{"jobs": r.List()})
+			var list []JobInfo
+			for _, id := range []string{done.ID, cancelled.ID} {
+				info, _ := r.Get(id)
+				list = append(list, info)
+			}
+			want := mustMarshal(t, map[string]any{"jobs": list})
 			if code, body := rawBody(t, http.MethodGet, ts.URL+"/v1/jobs"); code != http.StatusOK || !bytes.Equal(body, append(want, '\n')) {
-				t.Fatalf("GET /v1/jobs = %d\n%s\nwant json.Marshal of the List and a newline:\n%s", code, body, want)
+				t.Fatalf("GET /v1/jobs = %d\n%s\nwant json.Marshal of each Get in submission order and a newline:\n%s", code, body, want)
 			}
 		})
 	}
@@ -220,7 +225,7 @@ func finishedRecords(t *testing.T) ([]journal.Record, []string) {
 		t.Fatal(err)
 	}
 	waitState(t, r, cancelled.ID, autopipe.JobRunning)
-	r.Cancel(cancelled.ID)
+	r.CancelView(cancelled.ID)
 	waitState(t, r, cancelled.ID, autopipe.JobCancelled)
 	stuck := hugeSpec()
 	stuck.CheckEvery = 3
@@ -398,7 +403,7 @@ func TestCompactRecoverRoundTripsEveryPhase(t *testing.T) {
 	waitState(t, r, done, autopipe.JobDone)
 	cancelled := submit(hugeSpec())
 	waitState(t, r, cancelled, autopipe.JobRunning)
-	r.Cancel(cancelled)
+	r.CancelView(cancelled)
 	waitState(t, r, cancelled, autopipe.JobCancelled)
 	stuck := hugeSpec()
 	stuck.CheckEvery = 3
@@ -517,41 +522,111 @@ func TestFreezeFailureFreezesFailedView(t *testing.T) {
 	}
 }
 
+// tinyFinished runs one 2-layer 1-batch job to completion and returns
+// its finished view, the template for retainedRecords.
+func tinyFinished(tb testing.TB) JobInfo {
+	tb.Helper()
+	src := NewRegistry(1)
+	defer src.Shutdown(context.Background())
+	first, err := src.Submit(JobSpec{Model: "uniform", Uniform: &UniformSpec{Layers: 2}, Batches: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		if info, _ := src.Get(first.ID); info.Status.State == autopipe.JobDone {
+			return info
+		}
+		if time.Now().After(deadline) {
+			tb.Fatal("the template job did not finish")
+		}
+	}
+}
+
+// retainedRecords is the record stream of n finished jobs job-0001…,
+// each a copy of info under its own id.
+func retainedRecords(tb testing.TB, info JobInfo, n int) []journal.Record {
+	tb.Helper()
+	recs := make([]journal.Record, 0, 2*n)
+	for i := 1; i <= n; i++ {
+		id := fmt.Sprintf("job-%04d", i)
+		info.ID = id
+		sub, _ := json.Marshal(submittedRec{ID: id, Created: info.Created, Spec: info.Spec})
+		done, err := json.Marshal(completedRec{ID: id, Info: info})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		recs = append(recs,
+			journal.Record{Type: journal.TypeSubmitted, JobID: id, Fence: 1, Data: sub},
+			journal.Record{Type: journal.TypeCompleted, JobID: id, Fence: 1, Data: done})
+	}
+	return recs
+}
+
+// retaining is a journal-less registry recovered from n finished jobs.
+func retaining(tb testing.TB, info JobInfo, n int) *Registry {
+	tb.Helper()
+	r := NewRegistryWithOptions(Options{PoolSize: 1, WatchdogQuiet: -1})
+	if _, err := r.Recover(retainedRecords(tb, info, n)); err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
+var exportSink []journal.Record
+
+// TestExportOneIgnoresRetainedJobs: exporting one job looks up that job
+// alone, so what ExportRecords(id) allocates does not grow with the
+// jobs the registry retains. A walk over every retained job allocates
+// ~80 KB per call at 5,000 jobs against ~340 B at 10.
+func TestExportOneIgnoresRetainedJobs(t *testing.T) {
+	info := tinyFinished(t)
+	perCall := func(n int) uint64 {
+		r := retaining(t, info, n)
+		defer drain(t, r)
+		id := fmt.Sprintf("job-%04d", n)
+		if exp := r.ExportRecords(id); len(exp) != 2 || exp[0].JobID != id || exp[1].Type != journal.TypeCompleted {
+			t.Fatalf("retained=%d: ExportRecords(%s) = %d records, want its submission and completion", n, id, len(exp))
+		}
+		const calls = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			exportSink = r.ExportRecords(id)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / calls
+	}
+	small, big := perCall(10), perCall(5000)
+	if big > 2*small {
+		t.Fatalf("ExportRecords(id) allocates %d B with 5,000 retained jobs, %d B with 10", big, small)
+	}
+}
+
+// BenchmarkExportOne times ExportRecords of one finished job on a
+// registry retaining n finished jobs.
+func BenchmarkExportOne(b *testing.B) {
+	info := tinyFinished(b)
+	for _, n := range []int{10, 1000, 5000} {
+		b.Run(fmt.Sprintf("retained=%d", n), func(b *testing.B) {
+			r := retaining(b, info, n)
+			defer r.Shutdown(context.Background())
+			id := fmt.Sprintf("job-%04d", n/2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				exportSink = r.ExportRecords(id)
+			}
+		})
+	}
+}
+
 // BenchmarkForcedCompaction times one forced compaction of a registry
 // retaining n finished jobs, each with the completed payload of a real
 // finished job.
 func BenchmarkForcedCompaction(b *testing.B) {
-	src := NewRegistry(1)
-	spec := JobSpec{Model: "uniform", Uniform: &UniformSpec{Layers: 2}, Batches: 1}
-	first, err := src.Submit(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var info JobInfo
-	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
-		if info, _ = src.Get(first.ID); info.Status.State == autopipe.JobDone {
-			break
-		}
-		if time.Now().After(deadline) {
-			b.Fatal("the template job did not finish")
-		}
-	}
-	src.Shutdown(context.Background())
+	info := tinyFinished(b)
 	for _, n := range []int{500, 2000, 8000} {
 		b.Run(fmt.Sprintf("retained=%d", n), func(b *testing.B) {
-			recs := make([]journal.Record, 0, 2*n)
-			for i := 1; i <= n; i++ {
-				id := fmt.Sprintf("job-%04d", i)
-				info.ID = id
-				sub, _ := json.Marshal(submittedRec{ID: id, Created: info.Created, Spec: info.Spec})
-				done, err := json.Marshal(completedRec{ID: id, Info: info})
-				if err != nil {
-					b.Fatal(err)
-				}
-				recs = append(recs,
-					journal.Record{Type: journal.TypeSubmitted, JobID: id, Fence: 1, Data: sub},
-					journal.Record{Type: journal.TypeCompleted, JobID: id, Fence: 1, Data: done})
-			}
 			jl, _, err := journal.Open(b.TempDir(), journal.Options{})
 			if err != nil {
 				b.Fatal(err)
@@ -559,7 +634,7 @@ func BenchmarkForcedCompaction(b *testing.B) {
 			defer jl.Close()
 			r := NewRegistryWithOptions(Options{PoolSize: 1, Journal: jl})
 			defer r.Shutdown(context.Background())
-			if _, err := r.Recover(recs); err != nil {
+			if _, err := r.Recover(retainedRecords(b, info, n)); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()

@@ -141,7 +141,7 @@ func (r *Registry) Recover(recs []journal.Record) (RecoveryStats, error) {
 		r.mu.Unlock()
 		return stats, ErrClosed
 	}
-	if len(r.order) > 0 {
+	if len(r.jobs) > 0 {
 		r.mu.Unlock()
 		return stats, fmt.Errorf("server: Recover on a registry that already has jobs")
 	}
@@ -271,14 +271,10 @@ func (r *Registry) register(m *managedJob, rejournal bool) error {
 		r.mu.Unlock()
 		return ErrClosed
 	}
-	sh := r.shard(m.id)
-	sh.mu.Lock()
-	sh.jobs[m.id] = m
-	sh.mu.Unlock()
 	r.addLocked(m)
 	r.mu.Unlock()
 	if rejournal {
-		for _, rec := range r.exportRecords(map[string]bool{m.id: true}) {
+		for _, rec := range r.exportRecords([]*managedJob{m}) {
 			r.journalAppend(rec.Type, rec.JobID, rec.Fence, rec.Data)
 		}
 	}

@@ -260,7 +260,7 @@ func TestAdoptFencesRestoredByState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.Cancel(cancelled.ID); err != nil {
+	if _, err := src.CancelView(cancelled.ID); err != nil {
 		t.Fatal(err)
 	}
 	release()

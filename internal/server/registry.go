@@ -22,6 +22,7 @@ package server
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,10 +76,6 @@ const (
 	// hint derived from queue depth and drain rate.
 	MinRetryAfterSec = 1
 	MaxRetryAfterSec = 30
-	// jobShards stripes the job table so admission, status and cancel
-	// requests for different jobs stop contending on one mutex under
-	// thousand-worker load.
-	jobShards = 16
 )
 
 // Options parametrises a Registry.
@@ -149,27 +146,19 @@ type Counters struct {
 	FenceRejected      int64 // stale-fence adoption streams refused
 }
 
-// jobShard is one stripe of the job table. Lock order, where several
-// are held together: Registry.mu → jobShard.mu → managedJob.mu.
-type jobShard struct {
-	mu   sync.RWMutex
-	jobs map[string]*managedJob
-}
-
 // Registry owns the daemon's jobs. Admitted jobs wait in one FIFO run
 // queue, and PoolSize long-lived workers pop and simulate them, so at
 // most PoolSize jobs run at once and the rest report the queued state.
-// All methods are safe for concurrent use.
+// All methods are safe for concurrent use. Lock order, where several
+// are held together: jmu → mu → managedJob.mu; fencedMu is a leaf.
 type Registry struct {
 	opts Options
 
-	// shards stripes the job map by FNV-1a of the job id so lookups for
-	// different jobs (status polls, cancels, admission dup-checks) do
-	// not serialize on the global accounting mutex.
-	shards [jobShards]jobShard
-
-	mu    sync.Mutex
-	order []string // submission order, for stable listings
+	mu sync.Mutex
+	// jobs and order are the job table: every hosted job by id, and the
+	// same jobs in submission order for listings and full walks.
+	jobs  map[string]*managedJob
+	order []*managedJob
 	seq   int
 	// queue holds the jobs waiting for a worker, oldest first; reserved
 	// counts admissions that claimed a queue slot and are still
@@ -250,7 +239,7 @@ type managedJob struct {
 	running bool
 	cp      *autopipe.Checkpoint
 	cpRec   []byte
-	// stop records a Cancel, FenceOut or Kill that reached the job
+	// stop records a cancel, FenceOut or Kill that reached the job
 	// before its worker installed a Job. The worker skips the build, or
 	// cancels the Job it has just built before Run.
 	stop           bool
@@ -312,14 +301,12 @@ func NewRegistryWithOptions(opts Options) *Registry {
 	opts.WatchdogQuiet = max(opts.WatchdogQuiet, 0) // negative disables
 	r := &Registry{
 		opts:      opts,
+		jobs:      map[string]*managedJob{},
 		fenced:    map[string]uint64{},
 		stopWatch: make(chan struct{}),
 		now:       time.Now,
 	}
 	r.work.L = &r.mu
-	for i := range r.shards {
-		r.shards[i].jobs = map[string]*managedJob{}
-	}
 	r.workers.Add(opts.PoolSize)
 	for i := 0; i < opts.PoolSize; i++ {
 		go r.worker()
@@ -327,44 +314,29 @@ func NewRegistryWithOptions(opts Options) *Registry {
 	return r
 }
 
-// shard maps a job id to its stripe (FNV-1a over the id bytes).
-func (r *Registry) shard(id string) *jobShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= 16777619
-	}
-	return &r.shards[h%jobShards]
-}
-
-// lookup fetches one job without touching the global accounting mutex.
+// lookup fetches one hosted job.
 func (r *Registry) lookup(id string) (*managedJob, bool) {
-	sh := r.shard(id)
-	sh.mu.RLock()
-	m, ok := sh.jobs[id]
-	sh.mu.RUnlock()
+	r.mu.Lock()
+	m, ok := r.jobs[id]
+	r.mu.Unlock()
 	return m, ok
 }
 
-// allJobs snapshots every hosted job across the shards.
-func (r *Registry) allJobs() []*managedJob {
-	var out []*managedJob
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		for _, m := range sh.jobs {
-			out = append(out, m)
-		}
-		sh.mu.RUnlock()
-	}
-	return out
-}
-
-// snapshotOrder copies the submission order.
-func (r *Registry) snapshotOrder() []string {
+// snapshot copies the job table in submission order.
+func (r *Registry) snapshot() []*managedJob {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]string(nil), r.order...)
+	return slices.Clone(r.order)
+}
+
+// unlistLocked takes jobs out of the job table for good, with their
+// live records. Caller holds r.mu.
+func (r *Registry) unlistLocked(gone ...*managedJob) {
+	for _, m := range gone {
+		delete(r.jobs, m.id)
+		r.dropLive(m)
+	}
+	r.order = slices.DeleteFunc(r.order, func(m *managedJob) bool { return r.jobs[m.id] != m })
 }
 
 // PoolSize returns the maximum number of concurrently running jobs.

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"sync"
 	"testing"
@@ -145,10 +146,10 @@ func TestRegistryConcurrentSubmitStatusCancel(t *testing.T) {
 				ids <- info.ID
 				// Hammer the read paths while jobs run.
 				r.Get(info.ID)
-				r.List()
+				r.ListViews()
 				WriteMetrics(discard{}, r)
 				if (g+i)%3 == 0 {
-					if _, err := r.Cancel(info.ID); err != nil {
+					if _, err := r.CancelView(info.ID); err != nil {
 						t.Error(err)
 					}
 				}
@@ -173,9 +174,25 @@ func TestRegistryConcurrentSubmitStatusCancel(t *testing.T) {
 		}
 		n++
 	}
-	if n != goroutines*perG || len(r.List()) != n {
-		t.Fatalf("registry lost jobs: %d submitted, %d listed", n, len(r.List()))
+	if listed := listInfos(t, r); n != goroutines*perG || len(listed) != n {
+		t.Fatalf("registry lost jobs: %d submitted, %d listed", n, len(listed))
 	}
+}
+
+// listInfos decodes every job's ListViews entry, in submission order.
+func listInfos(t *testing.T, r *Registry) []JobInfo {
+	t.Helper()
+	views, err := r.ListViews()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]JobInfo, len(views))
+	for i, v := range views {
+		if err := json.Unmarshal(v, &out[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }
 
 type discard struct{}
@@ -209,12 +226,12 @@ func TestWorkerPoolSaturation(t *testing.T) {
 		t.Fatalf("Depth() = %d, want 1", d)
 	}
 	// Freeing the slot lets the queued job run.
-	if _, err := r.Cancel(first.ID); err != nil {
+	if _, err := r.CancelView(first.ID); err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, r, first.ID, autopipe.JobCancelled)
 	waitState(t, r, second.ID, autopipe.JobRunning)
-	if _, err := r.Cancel(second.ID); err != nil {
+	if _, err := r.CancelView(second.ID); err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, r, second.ID, autopipe.JobCancelled)
@@ -232,10 +249,10 @@ func TestCancelQueuedJobNeverRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Cancel(second.ID); err != nil {
+	if _, err := r.CancelView(second.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Cancel(first.ID); err != nil {
+	if _, err := r.CancelView(first.ID); err != nil {
 		t.Fatal(err)
 	}
 	info := waitState(t, r, second.ID, autopipe.JobCancelled)
@@ -270,7 +287,7 @@ func TestGetUnknown(t *testing.T) {
 	if _, err := r.Get("job-9999"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get unknown = %v", err)
 	}
-	if _, err := r.Cancel("job-9999"); !errors.Is(err, ErrNotFound) {
+	if _, err := r.CancelView("job-9999"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Cancel unknown = %v", err)
 	}
 }

@@ -36,9 +36,6 @@ func New(reg *Registry) *Server {
 	return s
 }
 
-// Registry returns the server's job registry.
-func (s *Server) Registry() *Registry { return s.reg }
-
 // Handler returns the root http.Handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 

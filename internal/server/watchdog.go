@@ -40,11 +40,7 @@ func (r *Registry) startWatchdog() {
 // tests.
 func (r *Registry) watchdogScan(now time.Time) {
 	var kill []*autopipe.Job
-	for _, id := range r.snapshotOrder() {
-		m, ok := r.lookup(id)
-		if !ok {
-			continue
-		}
+	for _, m := range r.snapshot() {
 		j := m.current()
 		if j == nil {
 			continue
