@@ -28,9 +28,11 @@ const (
 	DefaultHeartbeatEvery = time.Second
 	suspectFactor         = 3
 	deadFactor            = 10
-	// resyncTicks is how many heartbeat rounds pass between full
-	// replica resyncs (repairing records dropped by backpressure and
-	// re-homing replicas after membership changes).
+	// resyncTicks is how many heartbeat rounds pass between replica
+	// resyncs. A resync full-syncs only the jobs whose successor has
+	// not acknowledged their latest record — one dropped by
+	// backpressure or a failed POST, or one whose successor changed
+	// with the membership — so an idle fleet's resync sends nothing.
 	resyncTicks = 3
 	// forwardedHeader marks proxied requests so they are answered
 	// locally — a placement disagreement must degrade to 404, never to
@@ -92,7 +94,14 @@ type Node struct {
 	stop     chan struct{}
 	wg       sync.WaitGroup
 
-	replCh chan journal.Record
+	// ackMu guards acks, what each hosted job's successor has
+	// acknowledged, and admitting, the records held back while a job's
+	// admission sync runs (see replication.go). It is a leaf.
+	ackMu     sync.Mutex
+	acks      map[string]*replAck
+	admitting map[string][]streamed
+
+	replCh chan streamed
 
 	// Counters for /metrics and /v1/cluster.
 	forwarded       atomic.Int64
@@ -108,6 +117,11 @@ type Node struct {
 	minorityFlips   atomic.Int64
 	adoptSuppressed atomic.Int64
 	digestErrors    atomic.Int64
+	// Replication POSTs by what sent them, jobs full-synced by
+	// resyncs, and admission syncs that failed.
+	replPosts         [numReplPaths]atomic.Int64
+	resyncJobs        atomic.Int64
+	admitSyncFailures atomic.Int64
 }
 
 // New builds a fleet node around a registry constructed from sopts.
@@ -132,8 +146,10 @@ func New(cfg Config, sopts server.Options) (*Node, error) {
 		client:    cfg.Client,
 		adoptions: map[string][]journal.Record{},
 		fencedTo:  map[string]string{},
+		acks:      map[string]*replAck{},
+		admitting: map[string][]streamed{},
 		stop:      make(chan struct{}),
-		replCh:    make(chan journal.Record, 1024),
+		replCh:    make(chan streamed, 1024),
 	}
 	n.quorumOK.Store(true)
 	if n.client == nil {
@@ -262,7 +278,7 @@ func (n *Node) Shutdown(ctx context.Context) error {
 	n.stopOnce.Do(func() { close(n.stop) })
 	n.wg.Wait()
 	if len(targets) > 0 {
-		n.resyncAll()
+		n.resync(true)
 		for _, t := range targets {
 			if perr := n.post(t.Addr+"/v1/fleet/leave", leaveRequest{ID: n.cfg.ID}, nil); perr != nil {
 				n.cfg.Logf("fleet %s: leave notice to %s failed: %v", n.cfg.ID, t.ID, perr)
@@ -455,14 +471,24 @@ func (n *Node) handleFleetSubmit(w http.ResponseWriter, req *http.Request) {
 // submitLocal hosts a job here and synchronously syncs its durable
 // state to the ring successor, so an acknowledged submission survives
 // this node dying immediately afterwards (as long as the successor
-// lives — the fleet keeps one replica, not a quorum).
+// lives — the fleet keeps one replica, not a quorum). The job's
+// records are held back until that sync is done: those its export
+// carries are not sent again, the rest stream after it. If the sync
+// fails the 201 still goes out, durable on this node only, and the job
+// stays unacknowledged until a resync delivers it.
 func (n *Node) submitLocal(w http.ResponseWriter, id string, spec server.JobSpec) {
+	n.ackMu.Lock()
+	n.admitting[id] = nil
+	n.ackMu.Unlock()
 	info, err := n.reg.SubmitWithID(id, spec)
 	if err != nil {
+		n.ackMu.Lock()
+		delete(n.admitting, id)
+		n.ackMu.Unlock()
 		server.WriteSubmitError(w, n.reg, err)
 		return
 	}
-	n.syncJob(id)
+	n.syncAdmitted(id)
 	server.WriteJSON(w, http.StatusCreated, info)
 }
 
@@ -891,93 +917,6 @@ func (n *Node) adoptFrom(deadID string) {
 	n.mu.Unlock()
 	n.adopted.Add(int64(stats.Resumed + stats.Restarted + stats.Requeued + stats.Completed))
 	n.cfg.Logf("fleet %s: adopted %d jobs from %s (%+v)", n.cfg.ID, len(ids), deadID, stats)
-}
-
-// --- replication ---
-
-// observeRecord is the registry's OnRecord hook. It runs under an
-// internal registry lock, so it must not block: records are queued for
-// the replicator goroutine and dropped under backpressure (the periodic
-// full resync repairs any loss).
-func (n *Node) observeRecord(rec journal.Record) {
-	if rec.JobID == "" {
-		return
-	}
-	select {
-	case n.replCh <- rec:
-	default:
-		n.replDropped.Add(1)
-	}
-}
-
-func (n *Node) replicatorLoop() {
-	defer n.wg.Done()
-	for {
-		select {
-		case <-n.stop:
-			return
-		case rec := <-n.replCh:
-			batch := map[string][]journal.Record{}
-			n.addToBatch(batch, rec)
-			for i := 0; i < 63; i++ {
-				select {
-				case more := <-n.replCh:
-					n.addToBatch(batch, more)
-					continue
-				default:
-				}
-				break
-			}
-			for dest, recs := range batch {
-				n.sendReplicate(dest, false, recs)
-			}
-		}
-	}
-}
-
-func (n *Node) addToBatch(batch map[string][]journal.Record, rec journal.Record) {
-	dest := n.ring.OwnerExcluding(rec.JobID, n.cfg.ID)
-	if dest == "" {
-		return
-	}
-	batch[dest] = append(batch[dest], rec)
-}
-
-func (n *Node) sendReplicate(destID string, full bool, recs []journal.Record) {
-	addr := n.members.addr(destID)
-	if addr == "" || len(recs) == 0 {
-		return
-	}
-	err := n.post(addr+"/v1/fleet/replicate", replicateRequest{From: n.cfg.ID, Full: full, Records: recs}, nil)
-	if err != nil {
-		n.replErrors.Add(1)
-		return
-	}
-	n.replSent.Add(int64(len(recs)))
-}
-
-// syncJob pushes one job's full durable state to its ring successor
-// synchronously (used right after accepting it).
-func (n *Node) syncJob(id string) {
-	dest := n.ring.OwnerExcluding(id, n.cfg.ID)
-	if dest == "" {
-		return
-	}
-	n.sendReplicate(dest, true, n.reg.ExportRecords(id))
-}
-
-// resyncAll full-syncs every local job to its current successor —
-// replication's repair path for dropped records and membership changes.
-func (n *Node) resyncAll() {
-	byDest := map[string][]string{}
-	for _, job := range n.reg.HostedFences() {
-		if dest := n.ring.OwnerExcluding(job.ID, n.cfg.ID); dest != "" {
-			byDest[dest] = append(byDest[dest], job.ID)
-		}
-	}
-	for dest, ids := range byDest {
-		n.sendReplicate(dest, true, n.reg.ExportRecords(ids...))
-	}
 }
 
 // handoff gives one detached queued job to dest during a graceful

@@ -27,6 +27,15 @@ type testNode struct {
 // from the first heartbeat.
 func startNode(t *testing.T, id string, seeds []string, hb time.Duration, sopts server.Options) *testNode {
 	t.Helper()
+	return startWrappedNode(t, id, seeds, hb, sopts, nil, nil)
+}
+
+// startWrappedNode is startNode with the node's outbound peer transport
+// and its HTTP handler wrapped by the given functions (nil leaves one
+// as it is).
+func startWrappedNode(t *testing.T, id string, seeds []string, hb time.Duration, sopts server.Options,
+	out func(http.RoundTripper) http.RoundTripper, in func(http.Handler) http.Handler) *testNode {
+	t.Helper()
 	srv := httptest.NewUnstartedServer(nil)
 	cfg := Config{
 		ID:             id,
@@ -35,11 +44,17 @@ func startNode(t *testing.T, id string, seeds []string, hb time.Duration, sopts 
 		HeartbeatEvery: hb,
 		Logf:           t.Logf,
 	}
+	if out != nil {
+		cfg.Client = &http.Client{Timeout: 5 * time.Second, Transport: out(http.DefaultTransport)}
+	}
 	n, err := New(cfg, sopts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.Config.Handler = n.Handler()
+	if in != nil {
+		srv.Config.Handler = in(n.Handler())
+	}
 	srv.Start()
 	n.Start()
 	t.Cleanup(srv.Close)

@@ -42,6 +42,14 @@ func (n *Node) writeFleetMetrics(w io.Writer) {
 		"Records dropped under replication backpressure (repaired by resync).", n.replDropped.Load())
 	counter("autopiped_fleet_replication_errors_total",
 		"Replication batches that failed to reach their successor.", n.replErrors.Load())
+	fmt.Fprintf(w, "# HELP autopiped_fleet_replicate_posts_total Replicate POSTs sent to ring successors, by what sent them.\n# TYPE autopiped_fleet_replicate_posts_total counter\n")
+	for p, name := range replPathNames {
+		fmt.Fprintf(w, "autopiped_fleet_replicate_posts_total{path=%q} %d\n", name, n.replPosts[p].Load())
+	}
+	counter("autopiped_fleet_resync_jobs_total",
+		"Jobs full-synced by resyncs: those their successor had not acknowledged, and every job of a drain's final sync.", n.resyncJobs.Load())
+	counter("autopiped_fleet_admission_sync_failures_total",
+		"Admissions whose synchronous sync failed: the 201 was durable on this node only until a resync.", n.admitSyncFailures.Load())
 	counter("autopiped_fleet_handoff_jobs_total",
 		"Queued jobs handed to peers during graceful drain.", n.handoffSent.Load())
 	counter("autopiped_fleet_handoff_received_total",

@@ -165,3 +165,95 @@ func TestDetachQueuedTakesInFlightAdmission(t *testing.T) {
 		t.Fatalf("Depth() after detach = %d, want 0", d)
 	}
 }
+
+// TestRunEndedShowsRunningUntilFrozen: a job whose run has ended but
+// that finish has not frozen yet is presented as running — by Get, the
+// state counts and fencing's done guard alike — and without a result,
+// so whoever sees a job done can export its completion. Once finish
+// freezes it, all of them show done.
+func TestRunEndedShowsRunningUntilFrozen(t *testing.T) {
+	r := NewRegistry(1)
+	defer drain(t, r)
+	m := &managedJob{id: "job-ended", spec: smallSpec(), fence: 1}
+	j, err := r.newJob(m, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Status().State; st != autopipe.JobDone {
+		t.Fatalf("run ended in %s, want done", st)
+	}
+	m.job = j
+	r.mu.Lock()
+	r.addLocked(m)
+	r.settleLocked()
+	r.mu.Unlock()
+
+	info, err := r.Get(m.id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Status.State != autopipe.JobRunning || info.Result != nil {
+		t.Fatalf("unfrozen job presents %s (result %v), want running without a result", info.Status.State, info.Result != nil)
+	}
+	if n := r.StateCounts()[autopipe.JobDone]; n != 0 {
+		t.Fatalf("state counts show %d done jobs before the freeze", n)
+	}
+	if r.jobDone(m) {
+		t.Fatal("fencing's done guard holds a job Get shows running")
+	}
+	for _, rec := range r.ExportRecords(m.id) {
+		if rec.Type == journal.TypeCompleted {
+			t.Fatal("an unfrozen job exported a completion")
+		}
+	}
+
+	r.finish(m, "", "")
+	if info, _ := r.Get(m.id); info.Status.State != autopipe.JobDone || info.Result == nil {
+		t.Fatalf("frozen job presents %s (result %v), want done with its result", info.Status.State, info.Result != nil)
+	}
+	if !r.jobDone(m) || r.StateCounts()[autopipe.JobDone] != 1 {
+		t.Fatal("a frozen done job is not done to fencing and the state counts")
+	}
+}
+
+// TestFailedAppendStillObserved: a record whose journal append fails
+// still reaches OnRecord — the job keeps the state it describes, so a
+// fleet successor must learn it — except a submission, which the
+// failure refuses.
+func TestFailedAppendStillObserved(t *testing.T) {
+	jl, _, err := journal.Open(t.TempDir(), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen payloads
+	r, _, release := parkedRegistry(t, Options{Journal: jl, OnRecord: seen.record})
+	queued, err := r.Submit(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jl.Close() // every append from here on fails
+	if _, err := r.Submit(smallSpec()); !errors.Is(err, ErrNotDurable) {
+		t.Fatalf("submit on a closed journal = %v, want ErrNotDurable", err)
+	}
+	release()
+	waitState(t, r, queued.ID, autopipe.JobDone)
+	for _, typ := range []journal.Type{journal.TypeState, journal.TypeCompleted} {
+		if _, ok := seen.last(queued.ID, typ); !ok {
+			t.Errorf("OnRecord never saw %s's record of type %d", queued.ID, typ)
+		}
+	}
+	seen.mu.Lock()
+	defer seen.mu.Unlock()
+	submitted := 0
+	for _, rec := range seen.recs {
+		if rec.Type == journal.TypeSubmitted {
+			submitted++
+		}
+	}
+	if submitted != 2 {
+		t.Fatalf("OnRecord saw %d submissions, want the 2 accepted ones", submitted)
+	}
+}

@@ -69,10 +69,11 @@ func (r *Registry) Fence(id string) (uint64, bool) {
 	return m.fence, true
 }
 
-// jobDone reports whether a job is in the done state, live or frozen —
-// the one state fencing never overrides: a finished result is
-// preserved over any competing copy regardless of epoch. A cancelled or
-// failed copy is fenced like a live one.
+// jobDone reports whether a job presents the done state, as Get shows
+// it: only once finish has frozen it. Done is the one state fencing
+// never overrides: a finished result is preserved over any competing
+// copy regardless of epoch. A cancelled or failed copy is fenced like a
+// live one.
 func (r *Registry) jobDone(m *managedJob) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
